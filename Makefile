@@ -5,7 +5,7 @@ FUZZTIME ?= 30s
 
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-.PHONY: all build test race vet fmt-check check bench bench-smoke benchreport bench-diff bench-scaling experiments serve-smoke chaos-smoke trace-smoke char-smoke soak-smoke adaptive-smoke fuzz-smoke cover-sched clean
+.PHONY: all build test race vet fmt-check check bench bench-smoke benchreport bench-diff bench-scaling experiments experiments-check serve-smoke chaos-smoke trace-smoke char-smoke soak-smoke adaptive-smoke fuzz-smoke cover-sched clean
 
 all: build
 
@@ -74,6 +74,22 @@ bench-scaling:
 # experiments regenerates the paper's tables (Figures 8-12 + ablations).
 experiments:
 	$(GO) run ./cmd/experiments -exp all -insts $(INSTS)
+
+# experiments-check regenerates every table (Table 1, Figures 8-12, paths,
+# ablations, extensions, fig-adaptive) at 400k instructions, sharded over
+# every core, and diffs the result against the committed
+# experiments_output.txt. Only the (N.Ns) wall-clock suffix of each
+# "=== name ===" header is ignored, so any refactor that shifts a table
+# fails here.
+STRIP_TIMING = sed -E 's/^(=== .+) \([0-9.]+s\) ===$$/\1 ===/'
+
+experiments-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/experiments -exp all -insts 400000 -j $$(nproc) > "$$tmp/out.txt"; \
+	$(STRIP_TIMING) experiments_output.txt > "$$tmp/want.txt"; \
+	$(STRIP_TIMING) "$$tmp/out.txt" > "$$tmp/got.txt"; \
+	diff -u "$$tmp/want.txt" "$$tmp/got.txt"; \
+	echo "experiments-check: every table is byte-identical to experiments_output.txt"
 
 # serve-smoke boots polyserve, runs an experiment through the HTTP API,
 # diffs the result against cmd/experiments byte-for-byte, verifies the

@@ -35,8 +35,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	insts := flag.Uint64("insts", 0, "dynamic instructions per benchmark (0 = default 400k)")
 	bench := flag.String("bench", "", "comma-separated benchmark subset (default: all eight)")
-	par := flag.Int("par", 0, "parallel simulations (0 = GOMAXPROCS)")
-	jFlag := flag.Int("j", 0, "worker shards for parallel simulation (alias of -par; takes precedence when both are set). Tables are byte-identical under any value")
+	jFlag := flag.Int("j", 0, "worker shards for parallel simulation (0 = GOMAXPROCS). Tables are byte-identical under any value")
 	reps := flag.Int("reps", 0, "workload-seed replicates averaged per cell (0/1 = single run)")
 	audit := flag.String("audit", "off", "invariant-audit level: off, commit, cycle (results are identical at every level)")
 	traceFile := flag.String("trace", "", "write a merged cycle-level Chrome/Perfetto trace of every simulated cell to this file (observation-only: tables are unchanged)")
@@ -54,11 +53,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	parallelism := *par
-	if *jFlag > 0 {
-		parallelism = *jFlag
-	}
-	opts := harness.Options{TargetInsts: *insts, Parallelism: parallelism, Replicates: *reps, Audit: auditLevel}
+	opts := harness.Options{TargetInsts: *insts, Parallelism: *jFlag, Replicates: *reps, Audit: auditLevel}
 	if *bench != "" {
 		opts.Benchmarks = strings.Split(*bench, ",")
 	}

@@ -55,13 +55,14 @@ import (
 	"repro/internal/obs/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
+	"repro/internal/registry"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 func main() {
 	bench := flag.String("bench", "go", "benchmark: compress,gcc,perl,go,m88ksim,xlisp,vortex,jpeg")
-	workloadName := flag.String("workload", "", "run any registered workload by name (alias of -bench covering the extended and runtime-registered families; unknown names list what is registered)")
+	workloadName := flag.String("workload", "", "run any workload by name (alias of -bench covering the extended families; unknown names list every workload)")
 	asmFile := flag.String("asm", "", "simulate an assembly file instead of a generated benchmark")
 	model := flag.String("model", "see", "model: "+strings.Join(core.ModelNames(), ","))
 	compare := flag.String("compare", "", "comma-separated models to run side by side through the sharded harness; prints one IPC table instead of a single-model report")
@@ -382,32 +383,12 @@ func machineMods(window, depth, units, histBits int, pred, predParams, policyKin
 		if err != nil {
 			return nil, err
 		}
-		params := make(map[string]int)
-		if predParams != "" {
-			for _, kv := range strings.Split(predParams, ",") {
-				name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-				if !ok {
-					return nil, fmt.Errorf("-pred-params: %q is not name=value", kv)
-				}
-				v, err := strconv.Atoi(strings.TrimSpace(val))
-				if err != nil {
-					return nil, fmt.Errorf("-pred-params %s: %v", name, err)
-				}
-				params[strings.TrimSpace(name)] = v
-			}
+		params, err := parseParams("-pred-params", predParams)
+		if err != nil {
+			return nil, err
 		}
-		accepts := func(name string) bool {
-			e, ok := bpred.Lookup(string(kind))
-			if !ok {
-				return false
-			}
-			for _, ps := range e.Params {
-				if ps.Name == name {
-					return true
-				}
-			}
-			return false
-		}
+		e, _ := bpred.Lookup(string(kind))
+		carryHistBits := registry.HasParam(e.Params, "hist_bits")
 		mods = append(mods, func(c *pipeline.Config) {
 			// Fresh map per application: the same option may apply to
 			// several -compare configs, which must not share param state.
@@ -415,7 +396,7 @@ func machineMods(window, depth, units, histBits int, pred, predParams, policyKin
 			for k, v := range params {
 				p[k] = v
 			}
-			if _, explicit := p["hist_bits"]; !explicit && accepts("hist_bits") {
+			if _, explicit := p["hist_bits"]; !explicit && carryHistBits {
 				if hb := c.Predictor.Param("hist_bits", 0); hb > 0 {
 					p["hist_bits"] = hb
 				}
@@ -460,33 +441,40 @@ func policyMod(kind, cands string, epoch int, paramStr string) (pipeline.Option,
 		}
 		settings = append(settings, set)
 	}
-	params := make(map[string]int)
-	if paramStr != "" {
-		for _, kv := range strings.Split(paramStr, ",") {
-			name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
-			if !ok {
-				return nil, fmt.Errorf("-policy-params: %q is not name=value", kv)
-			}
-			v, err := strconv.Atoi(strings.TrimSpace(val))
-			if err != nil {
-				return nil, fmt.Errorf("-policy-params %s: %v", name, err)
-			}
-			params[strings.TrimSpace(name)] = v
-		}
+	params, err := parseParams("-policy-params", paramStr)
+	if err != nil {
+		return nil, err
 	}
 	return func(c *pipeline.Config) {
 		// Fresh clones per application: the same option may apply to several
 		// -compare configs, which must not share candidate or param state.
 		spec := pipeline.PolicySpec{Kind: kind, EpochCycles: epoch}
 		spec.Candidates = append([]policy.Setting(nil), settings...)
-		if len(params) > 0 {
-			spec.Params = make(map[string]int, len(params))
-			for k, v := range params {
-				spec.Params[k] = v
-			}
-		}
+		spec.Params = registry.CloneParams(params)
 		c.Policy = spec
 	}, nil
+}
+
+// parseParams parses a name=value[,name=value...] parameter flag into a
+// map (nil when the flag is empty). Names and ranges are left to the kind's
+// schema; flagName prefixes syntax errors.
+func parseParams(flagName, s string) (map[string]int, error) {
+	if s == "" {
+		return nil, nil
+	}
+	params := make(map[string]int)
+	for _, kv := range strings.Split(s, ",") {
+		name, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
+		if !ok {
+			return nil, fmt.Errorf("%s: %q is not name=value", flagName, kv)
+		}
+		v, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil {
+			return nil, fmt.Errorf("%s %s: %v", flagName, name, err)
+		}
+		params[strings.TrimSpace(name)] = v
+	}
+	return params, nil
 }
 
 func fail(err error) {

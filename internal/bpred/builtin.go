@@ -1,6 +1,10 @@
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/registry"
+)
 
 // Null is the no-op predictor: it always predicts not-taken and learns
 // nothing. The pipeline installs it under the "oracle" kind, where
@@ -23,8 +27,8 @@ func (Null) Reset() {}
 // histBitsSpec is the shared hist_bits schema of the classic predictors:
 // history length / log2 table size, required with no default (the paper's
 // baseline passes 14, the repo default 11).
-func histBitsSpec(max int) ParamSpec {
-	return ParamSpec{
+func histBitsSpec(max int) registry.Param {
+	return registry.Param{
 		Name:     "hist_bits",
 		Doc:      "history length / log2 table size",
 		Min:      2,
@@ -37,7 +41,7 @@ func init() {
 	MustRegister(Entry{
 		Kind:   "gshare",
 		Doc:    "McFarling gshare: global history XOR pc indexes 2-bit counters (the paper's baseline)",
-		Params: []ParamSpec{histBitsSpec(28)},
+		Params: []registry.Param{histBitsSpec(28)},
 		New: func(p Params, _ Env) (Predictor, error) {
 			return NewGshare(p.Get("hist_bits", 0)), nil
 		},
@@ -46,7 +50,7 @@ func init() {
 	MustRegister(Entry{
 		Kind:   "bimodal",
 		Doc:    "per-address 2-bit counter table (hist_bits = index bits)",
-		Params: []ParamSpec{histBitsSpec(28)},
+		Params: []registry.Param{histBitsSpec(28)},
 		New: func(p Params, _ Env) (Predictor, error) {
 			return NewBimodal(p.Get("hist_bits", 0)), nil
 		},
@@ -74,7 +78,7 @@ func init() {
 		// schema is tighter than the 28-bit global-history kinds.
 		Kind:   "local",
 		Doc:    "two-level local-history (PAg): per-branch histories index a shared counter table",
-		Params: []ParamSpec{histBitsSpec(16)},
+		Params: []registry.Param{histBitsSpec(16)},
 		New: func(p Params, _ Env) (Predictor, error) {
 			bits := p.Get("hist_bits", 0)
 			return NewLocal(bits, bits), nil
@@ -89,7 +93,7 @@ func init() {
 		// out at 21 (components run one bit under it).
 		Kind:   "combining",
 		Doc:    "McFarling combining: bimodal + gshare with a pc-indexed chooser, each one bit under the budget",
-		Params: []ParamSpec{histBitsSpec(21)},
+		Params: []registry.Param{histBitsSpec(21)},
 		New: func(p Params, _ Env) (Predictor, error) {
 			bits := combiningComponentBits(p.Get("hist_bits", 0))
 			return NewCombining(NewBimodal(bits), NewGshare(bits), bits), nil

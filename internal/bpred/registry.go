@@ -1,11 +1,6 @@
 package bpred
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "repro/internal/registry"
 
 // Params carries a predictor's integer sizing parameters by name
 // ("hist_bits", "tables", ...). A nil map and an empty map are equivalent:
@@ -34,17 +29,6 @@ func (p Params) Clone() Params {
 	return q
 }
 
-// ParamSpec declares one parameter a predictor accepts: its name, the
-// accepted range, whether it is required, and the default filled in when it
-// is optional and absent.
-type ParamSpec struct {
-	Name     string
-	Doc      string
-	Min, Max int
-	Default  int
-	Required bool
-}
-
 // Env is the machine context handed to predictor factories. It carries the
 // hooks a predictor may need from the pipeline without coupling the
 // registry to the pipeline package.
@@ -63,61 +47,25 @@ type Env struct {
 type Entry struct {
 	Kind   string
 	Doc    string
-	Params []ParamSpec
+	Params []registry.Param
 	New    func(p Params, env Env) (Predictor, error)
 	// StateBytes returns the hardware budget in bytes for normalized
 	// params. Entries with no table state may leave it nil (treated as 0).
 	StateBytes func(p Params) int
 }
 
-// ParamError reports a parameter that violates a registered schema. The
-// pipeline converts it into its own typed config error, preserving Param.
-type ParamError struct {
-	Kind   string
-	Param  string
-	Reason string
-}
+var kinds = registry.New("predictor", func(e *Entry) *string { return &e.Kind })
 
-func (e *ParamError) Error() string {
-	return fmt.Sprintf("bpred: %s: parameter %q: %s", e.Kind, e.Param, e.Reason)
-}
-
-type registry struct {
-	mu      sync.RWMutex
-	entries map[string]Entry
-}
-
-var reg = &registry{entries: make(map[string]Entry)}
-
-// Register adds a predictor kind to the registry. The kind spelling is
-// canonicalized to lower case. Registering an already-registered kind, an
-// empty kind, or an entry without a factory is an error — kinds are never
-// silently replaced.
+// Register adds a predictor kind. An empty or already-registered kind, a
+// nil factory or a malformed schema is an error.
 func Register(e Entry) error {
-	e.Kind = strings.ToLower(strings.TrimSpace(e.Kind))
-	if e.Kind == "" {
-		return fmt.Errorf("bpred: register: empty kind")
-	}
 	if e.New == nil {
-		return fmt.Errorf("bpred: register %q: nil factory", e.Kind)
+		return &registry.Error{Kind: e.Kind, Field: "New", Reason: "nil factory"}
 	}
-	seen := make(map[string]bool, len(e.Params))
-	for _, ps := range e.Params {
-		if ps.Name == "" || seen[ps.Name] {
-			return fmt.Errorf("bpred: register %q: duplicate or empty parameter name %q", e.Kind, ps.Name)
-		}
-		seen[ps.Name] = true
-		if ps.Min > ps.Max {
-			return fmt.Errorf("bpred: register %q: parameter %q has empty range [%d,%d]", e.Kind, ps.Name, ps.Min, ps.Max)
-		}
+	if err := registry.CheckSchema(e.Kind, e.Params); err != nil {
+		return err
 	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.entries[e.Kind]; dup {
-		return fmt.Errorf("bpred: register %q: already registered", e.Kind)
-	}
-	reg.entries[e.Kind] = e
-	return nil
+	return kinds.Add(e)
 }
 
 // MustRegister is Register for init-time built-ins; it panics on error.
@@ -128,72 +76,21 @@ func MustRegister(e Entry) {
 }
 
 // Lookup returns the entry for a kind (case-insensitive).
-func Lookup(kind string) (Entry, bool) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	e, ok := reg.entries[strings.ToLower(strings.TrimSpace(kind))]
-	return e, ok
-}
+func Lookup(kind string) (Entry, bool) { return kinds.Lookup(kind) }
 
 // Kinds returns the registered kind spellings, sorted.
-func Kinds() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]string, 0, len(reg.entries))
-	for k := range reg.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func Kinds() []string { return kinds.Kinds() }
 
 // NormalizeParams validates p against the kind's schema and returns the
-// canonical parameter map: unknown names and out-of-range values are
-// errors, optional absent parameters are filled with their defaults, and
-// the result is always a freshly allocated map (nil when the schema is
-// empty) — never an alias of the input, so configs copied by value cannot
-// share mutable state.
+// canonical parameter map (see registry.NormalizeParams). Errors are
+// *registry.Error values whose Field is the parameter name, or "Kind" for
+// an unregistered kind.
 func NormalizeParams(kind string, p Params) (Params, error) {
-	e, ok := Lookup(kind)
-	if !ok {
-		return nil, fmt.Errorf("bpred: unknown predictor kind %q (registered: %s)", kind, strings.Join(Kinds(), ", "))
+	e, err := kinds.Get(kind)
+	if err != nil {
+		return nil, err
 	}
-	known := make(map[string]ParamSpec, len(e.Params))
-	for _, ps := range e.Params {
-		known[ps.Name] = ps
-	}
-	for name := range p {
-		if _, ok := known[name]; !ok {
-			return nil, &ParamError{Kind: e.Kind, Param: name, Reason: fmt.Sprintf("unknown parameter (accepted: %s)", strings.Join(paramNames(e.Params), ", "))}
-		}
-	}
-	var out Params
-	for _, ps := range e.Params {
-		v, present := p[ps.Name]
-		if !present {
-			if ps.Required {
-				return nil, &ParamError{Kind: e.Kind, Param: ps.Name, Reason: fmt.Sprintf("required, range [%d,%d]", ps.Min, ps.Max)}
-			}
-			v = ps.Default
-		}
-		if v < ps.Min || v > ps.Max {
-			return nil, &ParamError{Kind: e.Kind, Param: ps.Name, Reason: fmt.Sprintf("%d out of [%d,%d]", v, ps.Min, ps.Max)}
-		}
-		if out == nil {
-			out = make(Params, len(e.Params))
-		}
-		out[ps.Name] = v
-	}
-	return out, nil
-}
-
-func paramNames(specs []ParamSpec) []string {
-	names := make([]string, len(specs))
-	for i, ps := range specs {
-		names[i] = ps.Name
-	}
-	sort.Strings(names)
-	return names
+	return registry.NormalizeParams(e.Kind, e.Params, p, "")
 }
 
 // Build normalizes p and constructs the predictor.

@@ -2,16 +2,13 @@ package bpred
 
 import (
 	"errors"
-	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 func TestRegistryBuiltinsRegistered(t *testing.T) {
-	kinds := Kinds()
-	if !sort.StringsAreSorted(kinds) {
-		t.Errorf("Kinds() not sorted: %v", kinds)
-	}
 	for _, want := range []string{"gshare", "bimodal", "static", "oracle", "local", "combining", "tage"} {
 		if _, ok := Lookup(want); !ok {
 			t.Errorf("built-in kind %q not registered", want)
@@ -19,29 +16,27 @@ func TestRegistryBuiltinsRegistered(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsBadEntries covers what Register checks beyond the
+// generic registry contract (internal/registry): a factory is required and
+// the schema is validated before the kind is added.
 func TestRegisterRejectsBadEntries(t *testing.T) {
 	factory := func(Params, Env) (Predictor, error) { return Null{}, nil }
 	cases := []struct {
-		name string
-		e    Entry
+		name  string
+		e     Entry
+		field string
 	}{
-		{"empty kind", Entry{New: factory}},
-		{"nil factory", Entry{Kind: "reg-test-nilfactory"}},
-		{"duplicate kind", Entry{Kind: "gshare", New: factory}},
-		{"case-folded duplicate", Entry{Kind: "  GSHARE ", New: factory}},
-		{"duplicate param", Entry{Kind: "reg-test-dupparam", New: factory,
-			Params: []ParamSpec{{Name: "x", Min: 0, Max: 1}, {Name: "x", Min: 0, Max: 1}}}},
-		{"empty param name", Entry{Kind: "reg-test-emptyparam", New: factory,
-			Params: []ParamSpec{{Name: "", Min: 0, Max: 1}}}},
-		{"empty range", Entry{Kind: "reg-test-emptyrange", New: factory,
-			Params: []ParamSpec{{Name: "x", Min: 2, Max: 1}}}},
+		{"nil factory", Entry{Kind: "reg-test-nilfactory"}, "New"},
+		{"bad schema", Entry{Kind: "reg-test-badschema", New: factory,
+			Params: []registry.Param{{Name: "x", Min: 2, Max: 1}}}, "Params"},
+		{"duplicate kind", Entry{Kind: " GSHARE ", New: factory}, "Kind"},
 	}
 	for _, tc := range cases {
-		if err := Register(tc.e); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		var re *registry.Error
+		if err := Register(tc.e); !errors.As(err, &re) || re.Field != tc.field {
+			t.Errorf("%s: want *registry.Error on %s, got %v", tc.name, tc.field, err)
 		}
 	}
-	// None of the rejects may have landed in the registry.
 	for _, k := range Kinds() {
 		if strings.HasPrefix(k, "reg-test-") {
 			t.Errorf("rejected registration leaked into the registry: %q", k)
@@ -49,48 +44,25 @@ func TestRegisterRejectsBadEntries(t *testing.T) {
 	}
 }
 
+// TestNormalizeParamsContract pins how bpred resolves parameters through
+// the shared schema: errors are *registry.Error values whose Field is the
+// bare parameter name (the pipeline prefixes "Predictor."), and the
+// built-in schemas normalize as the wire format expects.
 func TestNormalizeParamsContract(t *testing.T) {
-	// Defaults fill in; result is fresh, never an alias of the input.
-	in := Params{"hist_bits": 10}
-	out, err := NormalizeParams("gshare", in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Get("hist_bits", 0) != 10 {
-		t.Fatalf("normalized params = %v", out)
-	}
-	out["hist_bits"] = 99
-	if in["hist_bits"] != 10 {
-		t.Error("NormalizeParams returned an alias of the caller's map")
-	}
-
-	// Unknown parameter name is a typed *ParamError naming the parameter.
-	_, err = NormalizeParams("gshare", Params{"tables": 4})
-	var pe *ParamError
-	if !errors.As(err, &pe) || pe.Param != "tables" {
+	_, err := NormalizeParams("gshare", Params{"tables": 4})
+	var re *registry.Error
+	if !errors.As(err, &re) || re.Field != "tables" || re.Kind != "gshare" {
 		t.Fatalf("unknown param: got %v", err)
-	}
-
-	// Out-of-range value.
-	_, err = NormalizeParams("tage", Params{"tag_bits": 99})
-	if !errors.As(err, &pe) || pe.Param != "tag_bits" {
-		t.Fatalf("out-of-range: got %v", err)
-	}
-
-	// Required parameter missing (gshare's hist_bits is required).
-	_, err = NormalizeParams("gshare", nil)
-	if !errors.As(err, &pe) || pe.Param != "hist_bits" {
-		t.Fatalf("missing required: got %v", err)
 	}
 
 	// Unknown kind lists the registered spellings.
 	_, err = NormalizeParams("nonesuch", nil)
-	if err == nil || !strings.Contains(err.Error(), "gshare") {
+	if !errors.As(err, &re) || re.Field != "Kind" || !strings.Contains(err.Error(), "gshare") {
 		t.Fatalf("unknown kind error should enumerate kinds, got %v", err)
 	}
 
 	// A schema-free kind normalizes to nil.
-	out, err = NormalizeParams("oracle", nil)
+	out, err := NormalizeParams("oracle", nil)
 	if err != nil || out != nil {
 		t.Fatalf("oracle normalize = %v, %v; want nil, nil", out, err)
 	}

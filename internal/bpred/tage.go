@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/registry"
 )
 
 // Tage is a TAGE-class predictor (Seznec/Michaud): a base bimodal table
@@ -64,7 +66,7 @@ const defaultUsefulPeriod = 1 << 18
 
 // tageParamSpecs is the registry schema; defaults reproduce the
 // iso-storage point matching the repo's default gshare(11).
-var tageParamSpecs = []ParamSpec{
+var tageParamSpecs = []registry.Param{
 	{Name: "base_bits", Doc: "log2 base bimodal entries", Min: 2, Max: 28, Default: 10},
 	{Name: "tables", Doc: "tagged tables", Min: 1, Max: 16, Default: 4},
 	{Name: "idx_bits", Doc: "log2 entries per tagged table", Min: 2, Max: 24, Default: 5},

@@ -2,10 +2,16 @@ package confidence
 
 import (
 	"fmt"
-	"sort"
-	"strings"
-	"sync"
+
+	"repro/internal/registry"
 )
+
+// Kind names a confidence estimator registered with Register. The set of
+// valid kinds is open: any registered kind (built-in or at runtime) is
+// accepted.
+type Kind string
+
+func (k Kind) String() string { return string(k) }
 
 // Spec is the kind-agnostic description of a confidence estimator: the
 // named fields cover the built-in JRS/adaptive family (they are part of the
@@ -14,7 +20,7 @@ import (
 // Normalize canonicalizes the fields it does not use, so specs describing
 // the same estimator compare and hash identically.
 type Spec struct {
-	Kind          string
+	Kind          Kind
 	IndexBits     int
 	CtrBits       int
 	Threshold     int
@@ -27,54 +33,28 @@ type Spec struct {
 	Params map[string]int
 }
 
-// SpecError reports a spec field that violates a registered estimator's
-// constraints; the pipeline converts it into its typed config error.
-type SpecError struct {
-	Kind   string
-	Field  string
-	Reason string
-}
-
-func (e *SpecError) Error() string {
-	return fmt.Sprintf("confidence: %s: %s: %s", e.Kind, e.Field, e.Reason)
-}
-
 // Entry describes one registered estimator kind. Normalize validates the
 // spec and returns its canonical form (inert fields zeroed, defaults
-// filled); New constructs the estimator from a normalized spec; StateBytes
-// returns the hardware budget in bytes for a normalized spec (nil = 0).
+// filled); New constructs the estimator from a normalized spec.
 type Entry struct {
-	Kind       string
-	Doc        string
-	Normalize  func(Spec) (Spec, error)
-	New        func(Spec) (Estimator, error)
-	StateBytes func(Spec) int
+	Kind      string
+	Doc       string
+	Normalize func(Spec) (Spec, error)
+	New       func(Spec) (Estimator, error)
 }
 
-type registry struct {
-	mu      sync.RWMutex
-	entries map[string]Entry
-}
+var kinds = registry.New("confidence", func(e *Entry) *string { return &e.Kind })
 
-var reg = &registry{entries: make(map[string]Entry)}
-
-// Register adds an estimator kind; duplicate or malformed registrations
-// are errors, never silent replacement.
+// Register adds an estimator kind. An empty or already-registered kind, a
+// nil factory or a nil normalizer is an error.
 func Register(e Entry) error {
-	e.Kind = strings.ToLower(strings.TrimSpace(e.Kind))
-	if e.Kind == "" {
-		return fmt.Errorf("confidence: register: empty kind")
+	switch {
+	case e.New == nil:
+		return &registry.Error{Kind: e.Kind, Field: "New", Reason: "nil factory"}
+	case e.Normalize == nil:
+		return &registry.Error{Kind: e.Kind, Field: "Normalize", Reason: "nil normalizer"}
 	}
-	if e.New == nil {
-		return fmt.Errorf("confidence: register %q: nil factory", e.Kind)
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.entries[e.Kind]; dup {
-		return fmt.Errorf("confidence: register %q: already registered", e.Kind)
-	}
-	reg.entries[e.Kind] = e
-	return nil
+	return kinds.Add(e)
 }
 
 // MustRegister is Register for init-time built-ins; it panics on error.
@@ -85,46 +65,25 @@ func MustRegister(e Entry) {
 }
 
 // Lookup returns the entry for a kind (case-insensitive).
-func Lookup(kind string) (Entry, bool) {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	e, ok := reg.entries[strings.ToLower(strings.TrimSpace(kind))]
-	return e, ok
-}
+func Lookup(kind string) (Entry, bool) { return kinds.Lookup(kind) }
 
 // Kinds returns the registered kind spellings, sorted.
-func Kinds() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	out := make([]string, 0, len(reg.entries))
-	for k := range reg.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func Kinds() []string { return kinds.Kinds() }
 
 // Normalize validates s against its kind's constraints and returns the
-// canonical spec. The returned spec never aliases s.Params.
+// canonical spec. The returned spec never aliases s.Params. Errors are
+// *registry.Error values naming the offending spec field.
 func Normalize(s Spec) (Spec, error) {
-	e, ok := Lookup(s.Kind)
-	if !ok {
-		return Spec{}, fmt.Errorf("confidence: unknown estimator kind %q (registered: %s)", s.Kind, strings.Join(Kinds(), ", "))
+	e, err := kinds.Get(string(s.Kind))
+	if err != nil {
+		return Spec{}, err
 	}
-	s.Kind = e.Kind
+	s.Kind = Kind(e.Kind)
 	ns, err := e.Normalize(s)
 	if err != nil {
 		return Spec{}, err
 	}
-	if len(ns.Params) == 0 {
-		ns.Params = nil
-	} else {
-		clone := make(map[string]int, len(ns.Params))
-		for k, v := range ns.Params {
-			clone[k] = v
-		}
-		ns.Params = clone
-	}
+	ns.Params = registry.CloneParams(ns.Params)
 	return ns, nil
 }
 
@@ -134,51 +93,24 @@ func Build(s Spec) (Estimator, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, _ := Lookup(ns.Kind)
+	e, _ := Lookup(string(ns.Kind))
 	return e.New(ns)
 }
 
-// SpecStateBytes normalizes s and returns its hardware budget in bytes.
-func SpecStateBytes(s Spec) (int, error) {
-	ns, err := Normalize(s)
-	if err != nil {
-		return 0, err
-	}
-	e, _ := Lookup(ns.Kind)
-	if e.StateBytes == nil {
-		return 0, nil
-	}
-	return e.StateBytes(ns), nil
-}
-
-// rejectParams is shared by the built-in kinds, none of which use the open
-// Params map.
-func rejectParams(kind string, s Spec) error {
-	if len(s.Params) > 0 {
-		names := make([]string, 0, len(s.Params))
-		for k := range s.Params {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-		return &SpecError{Kind: kind, Field: "Params", Reason: fmt.Sprintf("kind accepts no extra parameters (got %s)", strings.Join(names, ", "))}
-	}
-	return nil
-}
-
 // normalizeJRSFields validates the JRS table sizing shared by the jrs and
-// adaptive kinds.
+// adaptive kinds. The built-in kinds declare an empty Params schema.
 func normalizeJRSFields(kind string, s Spec) (Spec, error) {
-	if err := rejectParams(kind, s); err != nil {
+	if _, err := registry.NormalizeParams(kind, nil, s.Params, "Params."); err != nil {
 		return Spec{}, err
 	}
 	if s.IndexBits < 1 || s.IndexBits > 28 {
-		return Spec{}, &SpecError{Kind: kind, Field: "IndexBits", Reason: fmt.Sprintf("%d out of [1,28]", s.IndexBits)}
+		return Spec{}, &registry.Error{Kind: kind, Field: "IndexBits", Reason: fmt.Sprintf("%d out of [1,28]", s.IndexBits)}
 	}
 	if s.CtrBits < 1 || s.CtrBits > 8 {
-		return Spec{}, &SpecError{Kind: kind, Field: "CtrBits", Reason: fmt.Sprintf("%d out of [1,8]", s.CtrBits)}
+		return Spec{}, &registry.Error{Kind: kind, Field: "CtrBits", Reason: fmt.Sprintf("%d out of [1,8]", s.CtrBits)}
 	}
 	if max := (1 << uint(s.CtrBits)) - 1; s.Threshold < 0 || s.Threshold > max {
-		return Spec{}, &SpecError{Kind: kind, Field: "Threshold", Reason: fmt.Sprintf("%d exceeds the %d-bit counter maximum %d (0 selects saturation)", s.Threshold, s.CtrBits, max)}
+		return Spec{}, &registry.Error{Kind: kind, Field: "Threshold", Reason: fmt.Sprintf("%d exceeds the %d-bit counter maximum %d (0 selects saturation)", s.Threshold, s.CtrBits, max)}
 	}
 	return s, nil
 }
@@ -199,10 +131,10 @@ func degenerateEntry(kind, doc string, est Estimator) Entry {
 		Kind: kind,
 		Doc:  doc,
 		Normalize: func(s Spec) (Spec, error) {
-			if err := rejectParams(kind, s); err != nil {
+			if _, err := registry.NormalizeParams(kind, nil, s.Params, "Params."); err != nil {
 				return Spec{}, err
 			}
-			return Spec{Kind: kind}, nil
+			return Spec{Kind: Kind(kind)}, nil
 		},
 		New: func(Spec) (Estimator, error) { return est, nil },
 	}
@@ -221,8 +153,7 @@ func init() {
 			ns.AdaptiveWindow = 0
 			return ns, nil
 		},
-		New:        func(s Spec) (Estimator, error) { return jrsFromSpec(s), nil },
-		StateBytes: func(s Spec) int { return (1 << uint(s.IndexBits)) * s.CtrBits / 8 },
+		New: func(s Spec) (Estimator, error) { return jrsFromSpec(s), nil },
 	})
 	MustRegister(Entry{
 		Kind: "adaptive",
@@ -233,10 +164,10 @@ func init() {
 				return Spec{}, err
 			}
 			if ns.AdaptiveMinPVN < 0 || ns.AdaptiveMinPVN >= 1 {
-				return Spec{}, &SpecError{Kind: "adaptive", Field: "AdaptiveMinPVN", Reason: fmt.Sprintf("%g out of [0,1) (0 selects the default 0.30)", ns.AdaptiveMinPVN)}
+				return Spec{}, &registry.Error{Kind: "adaptive", Field: "AdaptiveMinPVN", Reason: fmt.Sprintf("%g out of [0,1) (0 selects the default 0.30)", ns.AdaptiveMinPVN)}
 			}
 			if ns.AdaptiveWindow != 0 && ns.AdaptiveWindow < 8 {
-				return Spec{}, &SpecError{Kind: "adaptive", Field: "AdaptiveWindow", Reason: fmt.Sprintf("%d must be 0 (default 256) or >= 8", ns.AdaptiveWindow)}
+				return Spec{}, &registry.Error{Kind: "adaptive", Field: "AdaptiveWindow", Reason: fmt.Sprintf("%d must be 0 (default 256) or >= 8", ns.AdaptiveWindow)}
 			}
 			if ns.AdaptiveMinPVN == 0 {
 				ns.AdaptiveMinPVN = 0.30
@@ -248,9 +179,6 @@ func init() {
 		},
 		New: func(s Spec) (Estimator, error) {
 			return NewAdaptive(jrsFromSpec(s), AdaptiveConfig{MinPVN: s.AdaptiveMinPVN, Window: s.AdaptiveWindow}), nil
-		},
-		StateBytes: func(s Spec) int {
-			return (1<<uint(s.IndexBits))*s.CtrBits/8 + s.AdaptiveWindow/8 + 4
 		},
 	})
 	MustRegister(degenerateEntry("oracle", "perfect estimator: low confidence exactly on mispredictions", Oracle{}))

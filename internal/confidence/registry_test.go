@@ -3,16 +3,13 @@ package confidence
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/registry"
 )
 
 func TestConfRegistryBuiltins(t *testing.T) {
-	kinds := Kinds()
-	if !sort.StringsAreSorted(kinds) {
-		t.Errorf("Kinds() not sorted: %v", kinds)
-	}
 	for _, want := range []string{"jrs", "adaptive", "oracle", "always-high", "always-low"} {
 		if _, ok := Lookup(want); !ok {
 			t.Errorf("built-in kind %q not registered", want)
@@ -20,22 +17,30 @@ func TestConfRegistryBuiltins(t *testing.T) {
 	}
 }
 
+// TestConfRegisterRejectsBadEntries covers what Register checks beyond
+// the generic registry contract (internal/registry): both a factory and a
+// normalizer are required, since Normalize runs on every config
+// validation.
 func TestConfRegisterRejectsBadEntries(t *testing.T) {
 	factory := func(Spec) (Estimator, error) { return AlwaysHigh{}, nil }
 	norm := func(s Spec) (Spec, error) { return s, nil }
 	cases := []struct {
-		name string
-		e    Entry
+		name  string
+		e     Entry
+		field string
 	}{
-		{"empty kind", Entry{Normalize: norm, New: factory}},
-		{"nil factory", Entry{Kind: "conf-test-nilfactory", Normalize: norm}},
-		{"duplicate", Entry{Kind: "jrs", Normalize: norm, New: factory}},
-		{"case-folded duplicate", Entry{Kind: " JRS ", Normalize: norm, New: factory}},
+		{"nil factory", Entry{Kind: "conf-test-nilfactory", Normalize: norm}, "New"},
+		{"nil normalizer", Entry{Kind: "conf-test-nilnorm", New: factory}, "Normalize"},
+		{"case-folded duplicate", Entry{Kind: " JRS ", Normalize: norm, New: factory}, "Kind"},
 	}
 	for _, tc := range cases {
-		if err := Register(tc.e); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		var re *registry.Error
+		if err := Register(tc.e); !errors.As(err, &re) || re.Field != tc.field {
+			t.Errorf("%s: want *registry.Error on %s, got %v", tc.name, tc.field, err)
 		}
+	}
+	if _, ok := Lookup("conf-test-nilnorm"); ok {
+		t.Error("an entry without a normalizer was registered")
 	}
 }
 
@@ -65,15 +70,15 @@ func TestConfNormalizeJRSBounds(t *testing.T) {
 		{"IndexBits", Spec{Kind: "jrs", IndexBits: 29, CtrBits: 1}},
 		{"CtrBits", Spec{Kind: "jrs", IndexBits: 11, CtrBits: 9}},
 		{"Threshold", Spec{Kind: "jrs", IndexBits: 11, CtrBits: 2, Threshold: 4}},
-		{"Params", Spec{Kind: "jrs", IndexBits: 11, CtrBits: 1, Params: map[string]int{"x": 1}}},
+		{"Params.x", Spec{Kind: "jrs", IndexBits: 11, CtrBits: 1, Params: map[string]int{"x": 1}}},
 		{"AdaptiveMinPVN", Spec{Kind: "adaptive", IndexBits: 11, CtrBits: 1, AdaptiveMinPVN: 1.0}},
 		{"AdaptiveWindow", Spec{Kind: "adaptive", IndexBits: 11, CtrBits: 1, AdaptiveWindow: 3}},
 	}
 	for _, tc := range cases {
 		_, err := Normalize(tc.spec)
-		var se *SpecError
-		if !errors.As(err, &se) || se.Field != tc.field {
-			t.Errorf("spec %+v: want SpecError on %s, got %v", tc.spec, tc.field, err)
+		var re *registry.Error
+		if !errors.As(err, &re) || re.Field != tc.field {
+			t.Errorf("spec %+v: want *registry.Error on %s, got %v", tc.spec, tc.field, err)
 		}
 	}
 }
@@ -105,30 +110,12 @@ func TestConfNormalizeUnknownKindListsRegistry(t *testing.T) {
 
 func TestConfBuildEveryBuiltin(t *testing.T) {
 	for _, kind := range Kinds() {
-		est, err := Build(Spec{Kind: kind, IndexBits: 8, CtrBits: 2})
+		est, err := Build(Spec{Kind: Kind(kind), IndexBits: 8, CtrBits: 2})
 		if err != nil {
 			t.Errorf("Build(%q): %v", kind, err)
 			continue
 		}
 		est.Estimate(1, 0, true, Hint{})
 		est.Update(1, 0, true, true)
-	}
-}
-
-func TestConfSpecStateBytes(t *testing.T) {
-	// jrs: 2^idx * ctr bits / 8.
-	n, err := SpecStateBytes(Spec{Kind: "jrs", IndexBits: 11, CtrBits: 4})
-	if err != nil || n != (1<<11)*4/8 {
-		t.Errorf("jrs state bytes = %d (err %v)", n, err)
-	}
-	// adaptive adds the PVN window shift register and counter.
-	a, err := SpecStateBytes(Spec{Kind: "adaptive", IndexBits: 11, CtrBits: 4})
-	if err != nil || a != (1<<11)*4/8+256/8+4 {
-		t.Errorf("adaptive state bytes = %d (err %v)", a, err)
-	}
-	// Degenerate kinds occupy no storage.
-	z, err := SpecStateBytes(Spec{Kind: "always-low"})
-	if err != nil || z != 0 {
-		t.Errorf("always-low state bytes = %d (err %v)", z, err)
 	}
 }

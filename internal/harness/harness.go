@@ -103,13 +103,11 @@ type Options struct {
 	Parallelism int
 	// Benchmarks restricts the suite to the named benchmarks (empty = the
 	// Table 1 suite plus any Extra workloads). Names resolve against Extra
-	// first, then the workload registry (suite, extended families, runtime
-	// registrations).
+	// first, then workload.ByName (suite and extended families).
 	Benchmarks []string
 	// Extra supplies job-scoped workloads — typically trace-derived specs
-	// named trace-<digest> — resolvable by name for this run only, without
-	// touching the process-global workload registry. polyserve jobs wire
-	// their inline workload specs here.
+	// named trace-<digest> — resolvable by name for this run only.
+	// polyserve jobs wire their inline workload specs here.
 	Extra []workload.Benchmark
 	// Replicates re-runs every (benchmark, config) cell with additional
 	// workload seeds and averages the IPC, tightening the estimates at a
@@ -179,7 +177,7 @@ func (o Options) parallelism() int {
 }
 
 // lookup resolves a benchmark name: job-scoped Extra workloads first, then
-// the workload registry (suite, extended families, runtime registrations).
+// workload.ByName (suite and extended families).
 func (o Options) lookup(name string) (workload.Benchmark, error) {
 	for _, b := range o.Extra {
 		if b.Spec.Name != name {

@@ -12,13 +12,13 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/confidence"
 	"repro/internal/ctxtag"
 	"repro/internal/policy"
+	"repro/internal/registry"
 )
 
 // Mode selects the execution model.
@@ -46,7 +46,7 @@ func (m Mode) String() string {
 }
 
 // PredictorKind names a branch direction predictor registered in
-// bpred.Registry. The set of valid kinds is open: any kind registered with
+// internal/bpred. The set of valid kinds is open: any kind registered with
 // bpred.Register (built-in or at runtime) is accepted, and ParsePredictorKind
 // enumerates the currently registered set.
 type PredictorKind string
@@ -75,8 +75,8 @@ const (
 )
 
 // ConfidenceKind names a confidence estimator registered in
-// confidence.Registry; like PredictorKind the valid set is open.
-type ConfidenceKind string
+// internal/confidence; like PredictorKind the valid set is open.
+type ConfidenceKind = confidence.Kind
 
 // Built-in confidence kinds, retained for source compatibility.
 const (
@@ -96,7 +96,7 @@ const (
 )
 
 // PredictorSpec configures the direction predictor as an opaque
-// (kind, parameters) pair resolved against bpred.Registry: the pipeline
+// (kind, parameters) pair resolved against the bpred registry: the pipeline
 // carries the parameter map without interpreting it, so adding a predictor
 // requires edits only under internal/bpred.
 type PredictorSpec struct {
@@ -135,78 +135,19 @@ func PredictorOf(kind PredictorKind, params map[string]int) PredictorSpec {
 	return PredictorSpec{Kind: kind, Params: params}
 }
 
-// ConfidenceSpec configures the confidence estimator.
-type ConfidenceSpec struct {
-	Kind ConfidenceKind
-	// IndexBits is log2 of the JRS table (paper: same as the predictor).
-	IndexBits int
-	// CtrBits is the JRS counter width (paper: 1).
-	CtrBits int
-	// Threshold overrides the high-confidence threshold (0 = saturation).
-	Threshold int
-	// EnhancedIndex includes the current prediction in the JRS index
-	// (paper's enhancement; on in the baseline).
-	EnhancedIndex bool
-	// AdaptiveMinPVN / AdaptiveWindow configure ConfAdaptive.
-	AdaptiveMinPVN float64
-	AdaptiveWindow int
-	// Params carries extra integer parameters for estimator kinds
-	// registered from outside internal/confidence; the built-in kinds
-	// accept none. nil and empty are equivalent.
-	Params map[string]int
-}
+// ConfidenceSpec configures the confidence estimator: the kind plus the
+// JRS sizing fields (IndexBits is log2 of the table, paper: same as the
+// predictor; CtrBits the counter width, paper: 1; EnhancedIndex includes
+// the current prediction in the index, on in the baseline). Kinds
+// registered from outside internal/confidence carry their extra integer
+// parameters in Params; the built-in kinds accept none.
+type ConfidenceSpec = confidence.Spec
 
 // PolicySpec configures the optional phase-aware policy controller as an
-// opaque (kind, epoch, candidates, parameters) tuple resolved against
-// policy.Registry — the same open-registry shape as PredictorSpec and
-// ConfidenceSpec, so adding a controller requires edits only under
-// internal/policy. The zero value means "no controller".
-type PolicySpec struct {
-	// Kind names a registered controller ("static", "oracle", "online",
-	// or any runtime registration); empty disables policy control.
-	Kind string
-	// EpochCycles is the actuation interval in cycles (0 = the registry
-	// default).
-	EpochCycles int
-	// Candidates is the setting set the controller selects over.
-	Candidates []policy.Setting
-	// Params carries the kind's integer parameters by schema name.
-	Params map[string]int
-}
-
-// spec converts to the policy package's spec type.
-func (ps PolicySpec) spec() policy.Spec {
-	return policy.Spec{
-		Kind:        ps.Kind,
-		EpochCycles: ps.EpochCycles,
-		Candidates:  ps.Candidates,
-		Params:      ps.Params,
-	}
-}
-
-// normalize resolves the spec against policy.Registry. The zero spec
-// passes through unchanged; anything else is validated and canonicalized.
-func (ps PolicySpec) normalize() (PolicySpec, error) {
-	if ps.Kind == "" {
-		// No controller: candidates/epoch/params are inert, canonicalize
-		// them away so equivalent configs hash identically.
-		return PolicySpec{}, nil
-	}
-	ns, err := policy.Normalize(ps.spec())
-	if err != nil {
-		var se *policy.SpecError
-		if errors.As(err, &se) {
-			return ps, cfgErr("Policy."+se.Field, "%s (kind %s)", se.Reason, se.Kind)
-		}
-		return ps, cfgErr("Policy.Kind", "unknown policy kind %q (registered: %s)", ps.Kind, strings.Join(policy.Kinds(), ", "))
-	}
-	return PolicySpec{
-		Kind:        ns.Kind,
-		EpochCycles: ns.EpochCycles,
-		Candidates:  ns.Candidates,
-		Params:      ns.Params,
-	}, nil
-}
+// opaque (kind, epoch, candidates, parameters) tuple resolved against the
+// policy registry, so adding a controller requires edits only under
+// internal/policy. The zero value (empty Kind) means "no controller".
+type PolicySpec = policy.Spec
 
 // Config describes the simulated machine. DefaultConfig returns the
 // paper's baseline (Sec. 4.2).
@@ -400,21 +341,20 @@ func (c Config) normalize() (Config, error) {
 	case c.Audit != AuditOff && c.Audit != AuditCommit && c.Audit != AuditCycle:
 		return c, cfgErr("Audit", "unknown audit level %d", int(c.Audit))
 	}
-	np, err := c.Predictor.normalize()
-	if err != nil {
-		return c, err
+	var err error
+	if c.Predictor, err = c.Predictor.normalize(); err != nil {
+		return c, registryErr("Predictor", err)
 	}
-	c.Predictor = np
-	nc, err := c.Confidence.normalize()
-	if err != nil {
-		return c, err
+	if c.Confidence, err = confidence.Normalize(c.Confidence); err != nil {
+		return c, registryErr("Confidence", err)
 	}
-	c.Confidence = nc
-	npol, err := c.Policy.normalize()
-	if err != nil {
-		return c, err
+	if c.Policy.Kind == "" {
+		// No controller: candidates/epoch/params are inert, canonicalize
+		// them away so equivalent configs hash identically.
+		c.Policy = PolicySpec{}
+	} else if c.Policy, err = policy.Normalize(c.Policy); err != nil {
+		return c, registryErr("Policy", err)
 	}
-	c.Policy = npol
 	if c.Predictor.Kind == PredOracle && c.Confidence.Kind == ConfAdaptive {
 		return c, cfgErr("Confidence.Kind", "adaptive (PVN-monitoring) confidence is undefined under the oracle predictor: a perfect predictor never mispredicts, so the monitored PVN has no sample to converge on")
 	}
@@ -469,15 +409,23 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
-// normalize resolves the spec against bpred.Registry: the kind must be
-// registered, parameters are schema-checked with defaults filled, and the
-// returned spec's parameter map is canonical and freshly allocated (inert
-// and unknown-name errors surface as *ConfigError, never panics).
-func (p PredictorSpec) normalize() (PredictorSpec, error) {
-	if _, ok := bpred.Lookup(string(p.Kind)); !ok {
-		return p, cfgErr("Predictor.Kind", "unknown predictor kind %q (registered: %s)", string(p.Kind), strings.Join(bpred.Kinds(), ", "))
+// registryErr converts a registry rejection into the *ConfigError of one
+// config section ("Predictor", "Confidence", "Policy"): the registry's
+// field gains the section prefix ("Predictor.hist_bits",
+// "Confidence.Kind").
+func registryErr(section string, err error) error {
+	var re *registry.Error
+	if !errors.As(err, &re) {
+		return cfgErr(section, "%v", err)
 	}
-	p.Kind = PredictorKind(strings.ToLower(strings.TrimSpace(string(p.Kind))))
+	return cfgErr(section+"."+re.Field, "kind %q: %s", re.Kind, re.Reason)
+}
+
+// normalize resolves the spec against the predictor registry: the kind
+// must be registered, parameters are schema-checked with defaults filled,
+// and the returned spec's parameter map is canonical and freshly
+// allocated. Errors are *registry.Error values.
+func (p PredictorSpec) normalize() (PredictorSpec, error) {
 	// hist_bits is the legacy sizing field every pre-registry config carried;
 	// on the legacy v1 kinds whose schema has no such parameter (static,
 	// oracle) it was inert, and normalization canonicalizes it away rather
@@ -485,69 +433,19 @@ func (p PredictorSpec) normalize() (PredictorSpec, error) {
 	// its config set, oracle bars included. Post-v1 kinds (tage, runtime
 	// registrations) get strict schema validation: any parameter their
 	// schema does not declare, hist_bits included, is an error.
-	if _, ok := p.Params["hist_bits"]; ok && v1PredictorKinds[p.Kind] && !predictorAcceptsParam(p.Kind, "hist_bits") {
-		np := make(map[string]int, len(p.Params)-1)
-		for k, v := range p.Params {
-			if k != "hist_bits" {
-				np[k] = v
+	if e, ok := bpred.Lookup(string(p.Kind)); ok {
+		p.Kind = PredictorKind(e.Kind)
+		if _, ok := p.Params["hist_bits"]; ok && v1PredictorKinds[p.Kind] && !registry.HasParam(e.Params, "hist_bits") {
+			np := make(map[string]int, len(p.Params)-1)
+			for k, v := range p.Params {
+				if k != "hist_bits" {
+					np[k] = v
+				}
 			}
+			p.Params = np
 		}
-		p.Params = np
 	}
-	np, err := bpred.NormalizeParams(string(p.Kind), bpred.Params(p.Params))
-	if err != nil {
-		var pe *bpred.ParamError
-		if errors.As(err, &pe) {
-			return p, cfgErr("Predictor."+pe.Param, "%s (kind %s)", pe.Reason, pe.Kind)
-		}
-		return p, cfgErr("Predictor", "%v", err)
-	}
+	np, err := bpred.NormalizeParams(string(p.Kind), p.Params)
 	p.Params = np
-	return p, nil
-}
-
-// normalize resolves the spec against confidence.Registry, canonicalizing
-// inert fields and filling kind defaults.
-func (cs ConfidenceSpec) normalize() (ConfidenceSpec, error) {
-	ns, err := confidence.Normalize(confidence.Spec{
-		Kind:           string(cs.Kind),
-		IndexBits:      cs.IndexBits,
-		CtrBits:        cs.CtrBits,
-		Threshold:      cs.Threshold,
-		EnhancedIndex:  cs.EnhancedIndex,
-		AdaptiveMinPVN: cs.AdaptiveMinPVN,
-		AdaptiveWindow: cs.AdaptiveWindow,
-		Params:         cs.Params,
-	})
-	if err != nil {
-		var se *confidence.SpecError
-		if errors.As(err, &se) {
-			return cs, cfgErr("Confidence."+se.Field, "%s (kind %s)", se.Reason, se.Kind)
-		}
-		return cs, cfgErr("Confidence.Kind", "unknown confidence kind %q (registered: %s)", string(cs.Kind), strings.Join(confidence.Kinds(), ", "))
-	}
-	return ConfidenceSpec{
-		Kind:           ConfidenceKind(ns.Kind),
-		IndexBits:      ns.IndexBits,
-		CtrBits:        ns.CtrBits,
-		Threshold:      ns.Threshold,
-		EnhancedIndex:  ns.EnhancedIndex,
-		AdaptiveMinPVN: ns.AdaptiveMinPVN,
-		AdaptiveWindow: ns.AdaptiveWindow,
-		Params:         ns.Params,
-	}, nil
-}
-
-// buildConfidence constructs the estimator for a (normalized or raw) spec.
-func buildConfidence(cs ConfidenceSpec) (confidence.Estimator, error) {
-	return confidence.Build(confidence.Spec{
-		Kind:           string(cs.Kind),
-		IndexBits:      cs.IndexBits,
-		CtrBits:        cs.CtrBits,
-		Threshold:      cs.Threshold,
-		EnhancedIndex:  cs.EnhancedIndex,
-		AdaptiveMinPVN: cs.AdaptiveMinPVN,
-		AdaptiveWindow: cs.AdaptiveWindow,
-		Params:         cs.Params,
-	})
+	return p, err
 }

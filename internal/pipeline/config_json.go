@@ -9,6 +9,7 @@ import (
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/policy"
+	"repro/internal/registry"
 )
 
 // SchemaV1 is the wire-format identifier of the original versioned
@@ -401,7 +402,7 @@ func DecodeConfigV1(data []byte) (Config, error) {
 	// parameter (static, oracle) the field was inert and is dropped, which
 	// is exactly how v1 normalization canonicalized it.
 	var params map[string]int
-	if w.Predictor.HistBits != 0 && predictorAcceptsParam(pk, "hist_bits") {
+	if e, _ := bpred.Lookup(string(pk)); w.Predictor.HistBits != 0 && registry.HasParam(e.Params, "hist_bits") {
 		params = map[string]int{"hist_bits": w.Predictor.HistBits}
 	}
 	return decodeCommon(wireConfigV2{
@@ -447,21 +448,6 @@ func DecodeConfigV1(data []byte) (Config, error) {
 		NonSpeculativeHistory: w.NonSpeculativeHistory,
 		MaxInsts:              w.MaxInsts,
 	})
-}
-
-// predictorAcceptsParam reports whether a registered kind's schema
-// declares the named parameter.
-func predictorAcceptsParam(kind PredictorKind, name string) bool {
-	e, ok := bpred.Lookup(string(kind))
-	if !ok {
-		return false
-	}
-	for _, ps := range e.Params {
-		if ps.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // DecodeConfigV2 parses polypath/v2 JSON into a validated Config.

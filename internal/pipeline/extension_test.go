@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bpred"
+	"repro/internal/registry"
 )
 
 // toyPredictor is a deliberately silly predictor defined OUTSIDE
@@ -47,7 +48,7 @@ func registerToy(t *testing.T) {
 		err := bpred.Register(bpred.Entry{
 			Kind: "toy-majority",
 			Doc:  "test-only majority-vote predictor",
-			Params: []bpred.ParamSpec{
+			Params: []registry.Param{
 				{Name: "stride", Doc: "votes in the majority window", Min: 1, Max: 64, Default: 8},
 			},
 			New: func(p bpred.Params, _ bpred.Env) (bpred.Predictor, error) {

@@ -29,8 +29,6 @@ var fetchPolicyNames = map[FetchPolicy]string{
 
 func (k PredictorKind) String() string { return string(k) }
 
-func (k ConfidenceKind) String() string { return string(k) }
-
 func (p FetchPolicy) String() string {
 	if s, ok := fetchPolicyNames[p]; ok {
 		return s
@@ -61,22 +59,20 @@ func ParseMode(s string) (Mode, error) {
 	return parseKind("Mode", s, modeNames)
 }
 
-// ParsePredictorKind resolves a predictor spelling against bpred.Registry.
+// ParsePredictorKind resolves a predictor spelling against the bpred registry.
 // The error for an unknown spelling lists the currently registered kinds.
 func ParsePredictorKind(s string) (PredictorKind, error) {
-	want := strings.ToLower(strings.TrimSpace(s))
-	if _, ok := bpred.Lookup(want); ok {
-		return PredictorKind(want), nil
+	if e, ok := bpred.Lookup(s); ok {
+		return PredictorKind(e.Kind), nil
 	}
 	return "", &ConfigError{Field: "Predictor.Kind", Reason: fmt.Sprintf("unknown value %q (registered: %s)", s, strings.Join(bpred.Kinds(), ", "))}
 }
 
 // ParseConfidenceKind resolves a confidence-estimator spelling against
-// confidence.Registry; unknown spellings list the registered kinds.
+// the confidence registry; unknown spellings list the registered kinds.
 func ParseConfidenceKind(s string) (ConfidenceKind, error) {
-	want := strings.ToLower(strings.TrimSpace(s))
-	if _, ok := confidence.Lookup(want); ok {
-		return ConfidenceKind(want), nil
+	if e, ok := confidence.Lookup(s); ok {
+		return ConfidenceKind(e.Kind), nil
 	}
 	return "", &ConfigError{Field: "Confidence.Kind", Reason: fmt.Sprintf("unknown value %q (registered: %s)", s, strings.Join(confidence.Kinds(), ", "))}
 }

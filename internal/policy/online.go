@@ -1,6 +1,6 @@
 package policy
 
-import "fmt"
+import "repro/internal/registry"
 
 // onlineController is a deterministic bandit over the candidate set. Each
 // epoch it attributes the completed epoch's IPC to the candidate that was
@@ -155,63 +155,43 @@ func (c *onlineController) Reset() {
 	c.throttled = false
 }
 
+// onlineParams is the online controller's schema. Fractions travel in
+// milli-units.
+var onlineParams = []registry.Param{
+	{Name: "explore_every", Doc: "probe one candidate every n-th epoch", Min: 2, Max: 1 << 16, Default: 8},
+	{Name: "hysteresis_milli", Doc: "margin a challenger must beat the incumbent by", Min: 0, Max: 1000, Default: 50},
+	{Name: "ema_milli", Doc: "EMA weight of the newest epoch", Min: 1, Max: 1000, Default: 300},
+	{Name: "shift_milli", Doc: "misprediction-rate jump that signals a phase change (0 = off)", Min: 0, Max: 1000, Default: 0},
+	{Name: "vifr_epochs", Doc: "low-confidence epochs before the fetch throttle engages (0 = off)", Min: 0, Max: 1 << 16, Default: 0},
+	{Name: "vifr_lowconf_milli", Doc: "low-confidence branch rate that counts toward the throttle", Min: 0, Max: 1000, Default: 600},
+	{Name: "vifr_fetch", Doc: "throttled fetch width", Min: 1, Max: 64, Default: 4},
+}
+
 func init() {
 	MustRegister(Entry{
 		Kind: "online",
 		Doc:  "deterministic bandit over the candidate set: EMA reward, round-robin probes, switch hysteresis, VIFR fetch throttle on sustained low confidence",
 		Normalize: func(s Spec) (Spec, error) {
 			if len(s.Candidates) == 0 {
-				return Spec{}, &SpecError{Kind: "online", Field: "Candidates", Reason: "online needs at least one candidate setting"}
+				return Spec{}, &registry.Error{Kind: "online", Field: "Candidates", Reason: "online needs at least one candidate setting"}
 			}
 			s, err := normalizeCommon("online", s)
 			if err != nil {
 				return Spec{}, err
 			}
-			defaults := map[string]int{
-				"explore_every":      8,   // probe one candidate every 8th epoch
-				"hysteresis_milli":   50,  // challenger must beat incumbent by 5%
-				"ema_milli":          300, // newest epoch carries 30% of the EMA
-				"shift_milli":        0,   // mispredict-rate jump = phase change (0 = off)
-				"vifr_epochs":        0,   // 0 = fetch throttle disabled
-				"vifr_lowconf_milli": 600, // throttle trigger: ≥60% low-conf branches
-				"vifr_fetch":         4,   // throttled fetch width
-			}
-			return paramSchema("online", s, defaults, func(name string, v int) error {
-				switch name {
-				case "explore_every":
-					if v < 2 || v > 1<<16 {
-						return fmt.Errorf("%d out of [2,%d]", v, 1<<16)
-					}
-				case "hysteresis_milli", "shift_milli", "vifr_lowconf_milli":
-					if v < 0 || v > 1000 {
-						return fmt.Errorf("%d out of [0,1000]", v)
-					}
-				case "ema_milli":
-					if v < 1 || v > 1000 {
-						return fmt.Errorf("%d out of [1,1000]", v)
-					}
-				case "vifr_epochs":
-					if v < 0 || v > 1<<16 {
-						return fmt.Errorf("%d out of [0,%d]", v, 1<<16)
-					}
-				case "vifr_fetch":
-					if v < 1 || v > 64 {
-						return fmt.Errorf("%d out of [1,64]", v)
-					}
-				}
-				return nil
-			})
+			s.Params, err = registry.NormalizeParams("online", onlineParams, s.Params, "Params.")
+			return s, err
 		},
 		New: func(s Spec) (Controller, error) {
 			return &onlineController{
 				candidates:   s.Candidates,
-				exploreEvery: s.Param("explore_every", 8),
-				hysteresis:   float64(s.Param("hysteresis_milli", 50)) / 1000,
-				emaAlpha:     float64(s.Param("ema_milli", 300)) / 1000,
-				shift:        float64(s.Param("shift_milli", 0)) / 1000,
-				vifrEpochs:   s.Param("vifr_epochs", 0),
-				vifrLowConf:  float64(s.Param("vifr_lowconf_milli", 600)) / 1000,
-				vifrFetch:    s.Param("vifr_fetch", 4),
+				exploreEvery: s.Params["explore_every"],
+				hysteresis:   float64(s.Params["hysteresis_milli"]) / 1000,
+				emaAlpha:     float64(s.Params["ema_milli"]) / 1000,
+				shift:        float64(s.Params["shift_milli"]) / 1000,
+				vifrEpochs:   s.Params["vifr_epochs"],
+				vifrLowConf:  float64(s.Params["vifr_lowconf_milli"]) / 1000,
+				vifrFetch:    s.Params["vifr_fetch"],
 				reward:       make([]float64, len(s.Candidates)),
 				seen:         make([]bool, len(s.Candidates)),
 			}, nil

@@ -3,6 +3,8 @@ package policy
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/registry"
 )
 
 // oracleController replays a precomputed per-epoch schedule over the
@@ -48,7 +50,7 @@ const maxOracleSched = 1 << 16
 
 func normalizeOracle(s Spec) (Spec, error) {
 	if len(s.Candidates) == 0 {
-		return Spec{}, &SpecError{Kind: "oracle", Field: "Candidates", Reason: "oracle needs at least one candidate setting"}
+		return Spec{}, &registry.Error{Kind: "oracle", Field: "Candidates", Reason: "oracle needs at least one candidate setting"}
 	}
 	s, err := normalizeCommon("oracle", s)
 	if err != nil {
@@ -56,20 +58,20 @@ func normalizeOracle(s Spec) (Spec, error) {
 	}
 	n := s.Param("sched_len", 1)
 	if n < 1 || n > maxOracleSched {
-		return Spec{}, &SpecError{Kind: "oracle", Field: "Params.sched_len", Reason: fmt.Sprintf("%d out of [1,%d]", n, maxOracleSched)}
+		return Spec{}, &registry.Error{Kind: "oracle", Field: "Params.sched_len", Reason: fmt.Sprintf("%d out of [1,%d]", n, maxOracleSched)}
 	}
 	filled := map[string]int{"sched_len": n}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("s%d", i)
 		v := s.Param(name, 0)
 		if v < 0 || v >= len(s.Candidates) {
-			return Spec{}, &SpecError{Kind: "oracle", Field: "Params." + name, Reason: fmt.Sprintf("candidate index %d out of [0,%d]", v, len(s.Candidates)-1)}
+			return Spec{}, &registry.Error{Kind: "oracle", Field: "Params." + name, Reason: fmt.Sprintf("candidate index %d out of [0,%d]", v, len(s.Candidates)-1)}
 		}
 		filled[name] = v
 	}
 	for name := range s.Params {
 		if _, ok := filled[name]; !ok {
-			return Spec{}, &SpecError{Kind: "oracle", Field: "Params." + name, Reason: "unknown parameter (accepted: sched_len, s0..s{sched_len-1})"}
+			return Spec{}, &registry.Error{Kind: "oracle", Field: "Params." + name, Reason: "unknown parameter (accepted: sched_len, s0..s{sched_len-1})"}
 		}
 	}
 	s.Params = filled

@@ -1,19 +1,37 @@
 package policy
 
 import (
+	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/registry"
 )
 
+// TestRegistryRejectsBadEntries covers what Register checks beyond the
+// generic registry contract (internal/registry): both a factory and a
+// normalizer are required, since Normalize runs on every config
+// validation.
 func TestRegistryRejectsBadEntries(t *testing.T) {
-	if err := Register(Entry{Kind: "", New: func(Spec) (Controller, error) { return nil, nil }}); err == nil {
-		t.Fatal("empty kind accepted")
+	factory := func(Spec) (Controller, error) { return nil, nil }
+	norm := func(s Spec) (Spec, error) { return s, nil }
+	cases := []struct {
+		name  string
+		e     Entry
+		field string
+	}{
+		{"nil factory", Entry{Kind: "nilfactory", Normalize: norm}, "New"},
+		{"nil normalizer", Entry{Kind: "nilnorm", New: factory}, "Normalize"},
+		{"case-folded duplicate", Entry{Kind: "STATIC", Normalize: norm, New: factory}, "Kind"},
 	}
-	if err := Register(Entry{Kind: "nilfactory"}); err == nil {
-		t.Fatal("nil factory accepted")
+	for _, tc := range cases {
+		var re *registry.Error
+		if err := Register(tc.e); !errors.As(err, &re) || re.Field != tc.field {
+			t.Errorf("%s: want *registry.Error on %s, got %v", tc.name, tc.field, err)
+		}
 	}
-	if err := Register(Entry{Kind: "STATIC", New: func(Spec) (Controller, error) { return nil, nil }}); err == nil {
-		t.Fatal("duplicate kind (case-folded) accepted")
+	if _, ok := Lookup("nilnorm"); ok {
+		t.Error("an entry without a normalizer was registered")
 	}
 }
 

@@ -1,5 +1,7 @@
 package policy
 
+import "repro/internal/registry"
+
 // staticController pins a single candidate setting for the whole run. It
 // exists so every pre-existing fixed policy can be expressed inside the
 // controller framework — the degenerate case the metamorphic tests pin
@@ -21,13 +23,14 @@ func init() {
 				s.Candidates = []Setting{{}}
 			}
 			if len(s.Candidates) != 1 {
-				return Spec{}, &SpecError{Kind: "static", Field: "Candidates", Reason: "static takes exactly one candidate setting"}
+				return Spec{}, &registry.Error{Kind: "static", Field: "Candidates", Reason: "static takes exactly one candidate setting"}
 			}
 			s, err := normalizeCommon("static", s)
 			if err != nil {
 				return Spec{}, err
 			}
-			return paramSchema("static", s, map[string]int{}, func(string, int) error { return nil })
+			s.Params, err = registry.NormalizeParams("static", nil, s.Params, "Params.")
+			return s, err
 		},
 		New: func(s Spec) (Controller, error) {
 			return &staticController{setting: s.Candidates[0]}, nil

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Extended returns the workload families beyond the paper's Table 1
@@ -109,50 +108,10 @@ func Extended(targetInsts uint64) []Benchmark {
 	}
 }
 
-// registry holds runtime-registered workload families (trace-derived
-// workloads register here so harness cells can resolve them by name).
-var registry = struct {
-	sync.Mutex
-	byName map[string]Benchmark
-	order  []string
-}{byName: make(map[string]Benchmark)}
-
-// Register adds a runtime workload family resolvable via ByName. The
-// benchmark's Spec.TargetInsts is treated as a default: ByName callers
-// passing a non-zero targetInsts override it. Registering a name that
-// collides with a built-in family or an existing registration is an error.
-func Register(b Benchmark) error {
-	name := b.Spec.Name
-	if name == "" {
-		return fmt.Errorf("workload: register: empty name")
-	}
-	if err := CheckSpec(b.Spec); err != nil {
-		return fmt.Errorf("workload: register %q: %w", name, err)
-	}
-	for _, built := range builtinNames() {
-		if built == name {
-			return fmt.Errorf("workload: register %q: collides with built-in family", name)
-		}
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.byName[name]; dup {
-		return fmt.Errorf("workload: register %q: already registered", name)
-	}
-	registry.byName[name] = b
-	registry.order = append(registry.order, name)
-	return nil
-}
-
-// Registered returns the names of runtime-registered families in
-// registration order.
-func Registered() []string {
-	registry.Lock()
-	defer registry.Unlock()
-	return append([]string(nil), registry.order...)
-}
-
-func builtinNames() []string {
+// AllNames returns every resolvable workload name: the Table 1 suite in
+// table order, then the extended families. Names() remains the Table 1 set
+// — default experiment tables are unchanged by suite growth.
+func AllNames() []string {
 	names := Names()
 	for _, b := range Extended(1) {
 		names = append(names, b.Spec.Name)
@@ -160,18 +119,11 @@ func builtinNames() []string {
 	return names
 }
 
-// AllNames returns every resolvable workload name: the Table 1 suite in
-// table order, the extended families, then runtime registrations. Names()
-// remains the Table 1 set — default experiment tables are unchanged by
-// suite growth.
-func AllNames() []string {
-	return append(builtinNames(), Registered()...)
-}
-
 // ByName resolves a workload family by name: Table 1 suite, then extended
-// families, then runtime registrations. targetInsts overrides the spec's
-// dynamic length when non-zero. Unknown names enumerate everything
-// registered, the same UX as the model registry.
+// families. targetInsts overrides the spec's dynamic length when non-zero.
+// Unknown names enumerate every family, the same UX as the model registry.
+// Job-scoped workloads (trace-derived specs) resolve through
+// harness.Options.Extra, not here.
 func ByName(name string, targetInsts uint64) (Benchmark, error) {
 	for _, b := range Suite(targetInsts) {
 		if b.Spec.Name == name {
@@ -182,15 +134,6 @@ func ByName(name string, targetInsts uint64) (Benchmark, error) {
 		if b.Spec.Name == name {
 			return b, nil
 		}
-	}
-	registry.Lock()
-	b, ok := registry.byName[name]
-	registry.Unlock()
-	if ok {
-		if targetInsts != 0 {
-			b.Spec.TargetInsts = targetInsts
-		}
-		return b, nil
 	}
 	all := AllNames()
 	sort.Strings(all)

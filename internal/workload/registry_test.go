@@ -83,48 +83,6 @@ func TestNamesStaysTableOne(t *testing.T) {
 	}
 }
 
-func TestRegisterLifecycle(t *testing.T) {
-	spec := Spec{
-		Name: "test-registered-family", Seed: 7, TargetInsts: 50_000,
-		Branches: []BranchSpec{{Kind: KindBernoulli, Bias: 0.7}, {Kind: KindLoop, Trip: 8}},
-		BlockLen: 4, Chains: 2,
-	}
-	if err := Register(Benchmark{Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, n := range Registered() {
-		if n == spec.Name {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("registered family missing from Registered()")
-	}
-	b, err := ByName(spec.Name, 99_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Spec.TargetInsts != 99_000 {
-		t.Fatalf("override not applied: %d", b.Spec.TargetInsts)
-	}
-	// Duplicate and collision registrations are rejected.
-	if err := Register(Benchmark{Spec: spec}); err == nil {
-		t.Fatal("duplicate registration must error")
-	}
-	dup := spec
-	dup.Name = "compress"
-	if err := Register(Benchmark{Spec: dup}); err == nil {
-		t.Fatal("built-in collision must error")
-	}
-	bad := spec
-	bad.Name = "test-bad-spec"
-	bad.Branches = nil
-	if err := Register(Benchmark{Spec: bad}); err == nil {
-		t.Fatal("invalid spec must be rejected at registration")
-	}
-}
-
 func TestCalibrateBiasReachesTarget(t *testing.T) {
 	spec := Spec{
 		Name: "cal-reachable", Seed: 11, TargetInsts: 120_000,
