@@ -140,11 +140,17 @@ soak-smoke:
 chaos-smoke:
 	./scripts/chaos_smoke.sh
 
-# fuzz-smoke explores the pipeline-vs-interpreter differential oracle
-# for FUZZTIME beyond the committed seed corpus. Any crasher it finds is
-# a real simulator correctness bug by construction.
+# fuzz-smoke runs every fuzz target for FUZZTIME beyond its committed
+# seed corpus, one run per target (go test -fuzz takes one target at a
+# time): the pipeline-vs-interpreter differential oracle, the PBT1 trace
+# decoder, and the config-document decoder. Any crasher is a real bug;
+# commit it as a seed under the package's testdata/fuzz.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzPipelineVsInterp$$' -fuzztime $(FUZZTIME) ./internal/isa/progfuzz
+	@set -e; for t in FuzzPipelineVsInterp:./internal/isa/progfuzz \
+		FuzzTraceDecode:./internal/btrace FuzzDecodeConfig:./internal/pipeline; do \
+		echo "fuzz-smoke: $${t%%:*} for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$${t%%:*}\$$" -fuzztime $(FUZZTIME) "$${t#*:}"; \
+	done
 
 # cover-sched gates the deterministic scheduler: the engine every
 # experiment's bit-for-bit reproducibility rests on must keep >= 85%

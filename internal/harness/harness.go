@@ -38,7 +38,7 @@ type MemoValue struct {
 // Memo is a result cache consulted per (benchmark, config, replicate)
 // cell, keyed by the canonical hash of the normalized config plus the
 // workload identity and instruction cap. Implementations must be safe for
-// concurrent use; cache.LRU[MemoValue] satisfies the interface.
+// concurrent use; LRU[MemoValue] satisfies the interface.
 type Memo interface {
 	Get(key string) (MemoValue, bool)
 	Put(key string, v MemoValue)

@@ -1,4 +1,4 @@
-package cache
+package harness
 
 import (
 	"container/list"

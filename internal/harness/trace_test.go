@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/pipeline"
 )
 
@@ -69,7 +68,7 @@ func TestTracingObservationOnly(t *testing.T) {
 // must not produce trace events — the trace of a fully-memoized sweep
 // is empty while its table is still bit-identical.
 func TestTracingSkipsMemoizedCells(t *testing.T) {
-	memo := cache.NewLRU[MemoValue](64)
+	memo := NewLRU[MemoValue](64)
 	opts := Options{TargetInsts: 30_000, Benchmarks: []string{"go"}, Memo: memo}
 	configs := []NamedConfig{{Name: "monopath", Cfg: coreMonopath()}}
 

@@ -245,7 +245,7 @@ type Config struct {
 	// Audit selects machine-check invariant auditing (off/commit/cycle;
 	// see machinecheck.go and audit.go). Auditing is a runtime diagnostic
 	// knob: it never changes simulated results, so it is excluded from the
-	// polypath/v1 wire format and from the canonical config hash.
+	// wire format and from the canonical config hash.
 	Audit AuditLevel
 }
 

@@ -7,10 +7,12 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/policy"
 )
 
-func TestEncodeConfigV1CarriesSchema(t *testing.T) {
-	blob, err := EncodeConfigV1(DefaultConfig())
+func TestEncodeConfigV2CarriesSchema(t *testing.T) {
+	blob, err := EncodeConfigV2(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,14 +20,14 @@ func TestEncodeConfigV1CarriesSchema(t *testing.T) {
 	if err := json.Unmarshal(blob, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m["schema"] != SchemaV1 {
-		t.Fatalf("schema = %v, want %q", m["schema"], SchemaV1)
+	if m["schema"] != SchemaV2 {
+		t.Fatalf("schema = %v, want %q", m["schema"], SchemaV2)
 	}
 }
 
-// TestConfigV1RoundTrip encodes and re-decodes a spread of configurations
-// and requires the normalized forms (and the canonical encodings) to be
-// identical.
+// TestConfigV1RoundTrip decodes the polypath/v1 spelling of a spread of
+// configurations and requires the normalized forms (and the canonical
+// hashes) to be identical to those of the configs themselves.
 func TestConfigV1RoundTrip(t *testing.T) {
 	cfgs := []Config{DefaultConfig()}
 	c := DefaultConfig()
@@ -42,11 +44,7 @@ func TestConfigV1RoundTrip(t *testing.T) {
 	cfgs = append(cfgs, c)
 
 	for i, cfg := range cfgs {
-		blob, err := EncodeConfigV1(cfg)
-		if err != nil {
-			t.Fatalf("cfg %d: encode: %v", i, err)
-		}
-		back, err := DecodeConfigV1(blob)
+		back, err := DecodeConfig(v1Doc(t, cfg))
 		if err != nil {
 			t.Fatalf("cfg %d: decode: %v", i, err)
 		}
@@ -61,23 +59,17 @@ func TestConfigV1RoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("cfg %d: round-trip changed the normalized config\n got %+v\nwant %+v", i, got, want)
 		}
-		blob2, err := EncodeConfigV1(back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, blob2) {
-			t.Errorf("cfg %d: canonical encoding not stable across a round trip", i)
+		h1, _ := CanonicalHash(cfg)
+		h2, _ := CanonicalHash(back)
+		if h1 == "" || h1 != h2 {
+			t.Errorf("cfg %d: canonical hash not stable across a v1 round trip: %q vs %q", i, h1, h2)
 		}
 	}
 }
 
 func TestDecodeConfigV1RejectsUnknownFields(t *testing.T) {
-	blob, err := EncodeConfigV1(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := bytes.Replace(blob, []byte(`"mode"`), []byte(`"widow_size":9,"mode"`), 1)
-	_, err = DecodeConfigV1(bad)
+	bad := bytes.Replace(v1Doc(t, DefaultConfig()), []byte(`"mode"`), []byte(`"widow_size":9,"mode"`), 1)
+	_, err := DecodeConfig(bad)
 	if err == nil {
 		t.Fatal("unknown field accepted")
 	}
@@ -90,32 +82,66 @@ func TestDecodeConfigV1RejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestDecodeConfigV1RejectsWrongSchema: a v1 body under any other schema
+// is refused — v2 because the v1 predictor spelling is not a v2 field.
 func TestDecodeConfigV1RejectsWrongSchema(t *testing.T) {
-	blob, err := EncodeConfigV1(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, schema := range []string{`"polypath/v2"`, `""`} {
-		bad := bytes.Replace(blob, []byte(`"`+SchemaV1+`"`), []byte(schema), 1)
-		if _, err := DecodeConfigV1(bad); err == nil {
-			t.Errorf("schema %s accepted", schema)
+	for _, schema := range []string{`"polypath/v2"`, `"polypath/v3"`, `""`} {
+		bad := bytes.Replace(v1Doc(t, DefaultConfig()), []byte(`"`+SchemaV1+`"`), []byte(schema), 1)
+		_, err := DecodeConfig(bad)
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Errorf("schema %s: want *ConfigError, got %T (%v)", schema, err, err)
 		}
 	}
 }
 
 func TestDecodeConfigV1RejectsInvalidMachine(t *testing.T) {
-	blob, err := EncodeConfigV1(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := bytes.Replace(blob, []byte(`"fetch_width":8`), []byte(`"fetch_width":0`), 1)
+	bad := bytes.Replace(v1Doc(t, DefaultConfig()), []byte(`"fetch_width":8`), []byte(`"fetch_width":0`), 1)
 	if !bytes.Contains(bad, []byte(`"fetch_width":0`)) {
 		t.Fatal("test fixture: substitution failed")
 	}
-	_, err = DecodeConfigV1(bad)
+	_, err := DecodeConfig(bad)
 	var ce *ConfigError
 	if !errors.As(err, &ce) {
 		t.Fatalf("invalid machine must yield *ConfigError, got %T (%v)", err, err)
+	}
+}
+
+// TestDecodeConfigV1RejectsPostV1Content: the read-only v1 decoder refuses
+// everything the frozen schema could not express, and any data after the
+// document, each with a *ConfigError naming the offending field.
+func TestDecodeConfigV1RejectsPostV1Content(t *testing.T) {
+	doc := v1Doc(t, DefaultConfig())
+	withField := func(field string) []byte {
+		return bytes.Replace(doc, []byte(`"mode"`), []byte(field+`,"mode"`), 1)
+	}
+	cases := []struct {
+		name  string
+		doc   []byte
+		field string
+	}{
+		{"post-v1 predictor kind", bytes.Replace(doc, []byte(`"kind":"gshare"`), []byte(`"kind":"tage"`), 1), "Predictor.Kind"},
+		{"predictor params", bytes.Replace(doc, []byte(`"hist_bits":11`), []byte(`"hist_bits":11,"params":{"hist_bits":11}`), 1), "json"},
+		{"confidence params", bytes.Replace(doc, []byte(`"kind":"jrs"`), []byte(`"kind":"jrs","params":{}`), 1), "json"},
+		{"policy", withField(`"policy":{"kind":"static","epoch_cycles":4096}`), "Policy"},
+		{"null policy", withField(`"policy":null`), "Policy"},
+		{"unknown field", withField(`"window":64`), "json"},
+		{"second document", append(append([]byte{}, doc...), doc...), "json"},
+		{"trailing brace", append(append([]byte{}, doc...), '}'), "json"},
+		{"trailing bracket", append(append([]byte{}, doc...), ']'), "json"},
+		{"trailing junk", append(append([]byte{}, doc...), " junk"...), "json"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if bytes.Equal(tc.doc, doc) {
+				t.Fatal("test fixture: substitution failed")
+			}
+			_, err := DecodeConfig(tc.doc)
+			requireConfigError(t, err, tc.field)
+		})
+	}
+	if _, err := DecodeConfig(append(append([]byte{}, doc...), " \n\t"...)); err != nil {
+		t.Errorf("trailing whitespace refused: %v", err)
 	}
 }
 
@@ -166,4 +192,63 @@ func TestCanonicalHashInvalidConfigErrors(t *testing.T) {
 	if _, err := CanonicalHash(bad); err == nil {
 		t.Fatal("invalid config must not hash")
 	}
+}
+
+// FuzzDecodeConfig: DecodeConfig is fed untrusted bytes by polyserve, so
+// every input must either fail with a *ConfigError or decode to a config
+// whose canonical v2 encoding is a fixed point of decode→encode with an
+// unchanged CanonicalHash. It must never panic. The seeds are the golden
+// v1 corpus, its v2 encodings and a policy-bearing v2 document.
+func FuzzDecodeConfig(f *testing.F) {
+	for _, e := range loadGolden(f) {
+		f.Add([]byte(e.Doc))
+		cfg, err := DecodeConfig(e.Doc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		v2, err := EncodeConfigV2(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(v2)
+	}
+	see, _ := policy.PresetSetting("see")
+	withPolicy := DefaultConfig()
+	withPolicy.Policy = PolicySpec{Kind: "online", EpochCycles: 1024, Candidates: []policy.Setting{see}}
+	v2, err := EncodeConfigV2(withPolicy)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := DecodeConfig(data)
+		if err != nil {
+			var ce *ConfigError
+			if !errors.As(err, &ce) {
+				t.Fatalf("want *ConfigError, got %T (%v)", err, err)
+			}
+			return
+		}
+		v2, err := EncodeConfigV2(cfg)
+		if err != nil {
+			t.Fatalf("decoded config does not encode: %v", err)
+		}
+		back, err := DecodeConfig(v2)
+		if err != nil {
+			t.Fatalf("v2 encoding does not decode: %v\n%s", err, v2)
+		}
+		v2again, err := EncodeConfigV2(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(v2, v2again) {
+			t.Fatalf("v2 encoding is not a fixed point\n 1st %s\n 2nd %s", v2, v2again)
+		}
+		h1, err1 := CanonicalHash(cfg)
+		h2, err2 := CanonicalHash(back)
+		if err1 != nil || err2 != nil || h1 != h2 {
+			t.Fatalf("round trip changed the canonical hash: %q (%v) vs %q (%v)", h1, err1, h2, err2)
+		}
+	})
 }

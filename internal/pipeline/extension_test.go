@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -69,10 +70,9 @@ func registerToy(t *testing.T) {
 func TestRuntimeRegisteredPredictorRunsEndToEnd(t *testing.T) {
 	registerToy(t)
 
-	cfg, err := NewConfig(WithPredictor(PredictorSpec{
-		Kind:   "toy-majority",
-		Params: map[string]int{"stride": 4},
-	}))
+	cfg, err := NewConfig(func(c *Config) {
+		c.Predictor = PredictorSpec{Kind: "toy-majority", Params: map[string]int{"stride": 4}}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,8 @@ func TestRuntimeRegisteredPredictorRunsEndToEnd(t *testing.T) {
 		t.Fatalf("ParsePredictorKind: %v, %v", k, err)
 	}
 
-	// The wire format carries it (as polypath/v2; the frozen v1 schema
-	// must refuse it).
-	if _, err := EncodeConfigV1(cfg); err == nil {
-		t.Error("runtime kind must not be representable in frozen polypath/v1")
-	}
+	// The wire format carries it (as polypath/v2; a frozen v1 document
+	// naming it is refused).
 	blob, err := EncodeConfigV2(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,6 +94,10 @@ func TestRuntimeRegisteredPredictorRunsEndToEnd(t *testing.T) {
 	back, err := DecodeConfig(blob)
 	if err != nil {
 		t.Fatal(err)
+	}
+	v1 := bytes.Replace(v1Doc(t, DefaultConfig()), []byte(`"kind":"gshare"`), []byte(`"kind":"toy-majority"`), 1)
+	if _, err := DecodeConfig(v1); err == nil {
+		t.Error("runtime kind must not be accepted in a frozen polypath/v1 document")
 	}
 	h1, err := CanonicalHash(cfg)
 	if err != nil {
@@ -134,9 +135,8 @@ func TestRuntimeRegisteredPredictorRunsEndToEnd(t *testing.T) {
 // kinds exactly as to built-ins.
 func TestRuntimeKindParamValidation(t *testing.T) {
 	registerToy(t)
-	_, err := NewConfig(WithPredictor(PredictorSpec{
-		Kind:   "toy-majority",
-		Params: map[string]int{"stride": 100},
-	}))
+	_, err := NewConfig(func(c *Config) {
+		c.Predictor = PredictorSpec{Kind: "toy-majority", Params: map[string]int{"stride": 100}}
+	})
 	requireConfigError(t, err, "Predictor.stride")
 }

@@ -81,10 +81,6 @@ func ParseConfidenceKind(s string) (ConfidenceKind, error) {
 // (for CLI help text and docs).
 func PredictorKinds() []string { return bpred.Kinds() }
 
-// ConfidenceKinds returns the currently registered confidence-estimator
-// kinds, sorted.
-func ConfidenceKinds() []string { return confidence.Kinds() }
-
 // ParseFetchPolicy parses a fetch-policy spelling ("exponential",
 // "round-robin").
 func ParseFetchPolicy(s string) (FetchPolicy, error) {

@@ -60,9 +60,6 @@ func (c Config) Normalized() (Config, error) {
 	return c.normalize()
 }
 
-// WithMode sets the execution model (monopath or polypath).
-func WithMode(m Mode) Option { return func(c *Config) { c.Mode = m } }
-
 // WithWindowSize sets the instruction window / reorder buffer size and
 // re-derives the physical register file and checkpoint pool to match.
 func WithWindowSize(n int) Option {
@@ -97,44 +94,4 @@ func WithHistoryBits(bits int) Option {
 		c.Predictor = c.Predictor.WithParam("hist_bits", bits)
 		c.Confidence.IndexBits = bits
 	}
-}
-
-// WithPredictorParam sets one named predictor parameter (copy-on-write:
-// the underlying map is never shared between configs).
-func WithPredictorParam(name string, v int) Option {
-	return func(c *Config) {
-		c.Predictor = c.Predictor.WithParam(name, v)
-	}
-}
-
-// WithPredictor replaces the direction-predictor spec.
-func WithPredictor(spec PredictorSpec) Option {
-	return func(c *Config) { c.Predictor = spec }
-}
-
-// WithConfidence replaces the confidence-estimator spec.
-func WithConfidence(spec ConfidenceSpec) Option {
-	return func(c *Config) { c.Confidence = spec }
-}
-
-// WithConfidenceKind switches only the estimator kind, keeping the sizing
-// of the current spec.
-func WithConfidenceKind(k ConfidenceKind) Option {
-	return func(c *Config) { c.Confidence.Kind = k }
-}
-
-// WithMaxDivergences caps simultaneous divergences (0 = unlimited,
-// 1 = dual-path).
-func WithMaxDivergences(n int) Option {
-	return func(c *Config) { c.MaxDivergences = n }
-}
-
-// WithFetchPolicy selects the multi-path fetch arbitration scheme.
-func WithFetchPolicy(p FetchPolicy) Option {
-	return func(c *Config) { c.FetchPolicy = p }
-}
-
-// WithMaxInsts bounds committed instructions (0 = run to Halt).
-func WithMaxInsts(n uint64) Option {
-	return func(c *Config) { c.MaxInsts = n }
 }

@@ -20,13 +20,13 @@ func TestNewConfigDefaultsAreValid(t *testing.T) {
 
 func TestNewConfigOptionsCompose(t *testing.T) {
 	cfg, err := NewConfig(
-		WithMode(Monopath),
+		func(c *Config) { c.Mode = Monopath },
 		WithWindowSize(128),
 		WithPipelineDepth(10),
 		WithUniformUnits(2),
 		WithHistoryBits(9),
-		WithMaxDivergences(1),
-		WithMaxInsts(5000),
+		func(c *Config) { c.MaxDivergences = 1 },
+		func(c *Config) { c.MaxInsts = 5000 },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +73,8 @@ func TestValidateTagCountExceedsCapacity(t *testing.T) {
 
 func TestValidateOraclePredictorAdaptiveConfidence(t *testing.T) {
 	_, err := NewConfig(
-		WithPredictor(PredictorSpec{Kind: PredOracle}),
-		WithConfidenceKind(ConfAdaptive),
+		func(c *Config) { c.Predictor = PredictorSpec{Kind: PredOracle} },
+		func(c *Config) { c.Confidence.Kind = ConfAdaptive },
 	)
 	requireConfigError(t, err, "Confidence.Kind")
 }

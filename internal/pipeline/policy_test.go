@@ -209,8 +209,8 @@ func TestPolicyFreeV2EncodingHasNoPolicyField(t *testing.T) {
 }
 
 // TestPolicyConfigV2RoundTrip: a policy-bearing config must round-trip
-// through polypath/v2 as a fixed point with a stable canonical hash, and
-// must refuse the frozen v1 schema.
+// through polypath/v2 as a fixed point, and its canonical hash is the one
+// it had before the v1 write path was retired.
 func TestPolicyConfigV2RoundTrip(t *testing.T) {
 	see, _ := policy.PresetSetting("see")
 	mono, _ := policy.PresetSetting("monopath")
@@ -219,9 +219,6 @@ func TestPolicyConfigV2RoundTrip(t *testing.T) {
 		Kind: "online", EpochCycles: 1024,
 		Candidates: []policy.Setting{see, mono},
 		Params:     map[string]int{"explore_every": 6, "shift_milli": 120},
-	}
-	if _, err := EncodeConfigV1(cfg); err == nil {
-		t.Fatal("policy-bearing config must not be representable in the frozen polypath/v1 schema")
 	}
 	v2, err := EncodeConfigV2(cfg)
 	if err != nil {
@@ -248,6 +245,9 @@ func TestPolicyConfigV2RoundTrip(t *testing.T) {
 	}
 	if h1 != h2 {
 		t.Errorf("v2 round trip changed the canonical hash: %s vs %s", h1, h2)
+	}
+	if want := "89192dbf61e9bad5f9e956b5f7b92aaad7b6e40729f91bc3c75e63554d022e67"; h1 != want {
+		t.Errorf("policy config hash drifted\n got %s\nwant %s", h1, want)
 	}
 	if h0, _ := CanonicalHash(DefaultConfig()); h0 == h1 {
 		t.Error("policy-bearing config hashed identically to the policy-free config")

@@ -25,7 +25,8 @@ const (
 
 // ConfigEntry names one machine configuration of a job: either a
 // registered model name ("see", "monopath", "dualpath", ...) or a full
-// polypath/v1 config document. Exactly one of Model/Config must be set.
+// config document (polypath/v2, or a legacy read-only polypath/v1 one;
+// see pipeline.DecodeConfig). Exactly one of Model/Config must be set.
 type ConfigEntry struct {
 	Name   string          `json:"name"`
 	Model  string          `json:"model,omitempty"`
@@ -226,9 +227,8 @@ func (r JobRequest) resolve(maxInsts uint64) ([]harness.NamedConfig, error) {
 			}
 			configs = append(configs, harness.NamedConfig{Name: e.Name, Cfg: cfg})
 		case len(e.Config) > 0:
-			// Schema-sniffing decode: accepts both frozen polypath/v1
-			// documents (hash-compatible with existing memoized results)
-			// and open polypath/v2 documents.
+			// Schema-sniffing decode: accepts open polypath/v2 documents
+			// and legacy read-only polypath/v1 ones.
 			cfg, err := pipeline.DecodeConfig(e.Config)
 			if err != nil {
 				return nil, fmt.Errorf("configs[%d] (%s): %w", i, e.Name, err)

@@ -6,7 +6,7 @@
 // polled via GET /v1/jobs/{id}; the rendered table — byte-identical to
 // cmd/experiments output for the same request — is served by
 // GET /v1/results/{id}. Per-cell results are memoized in an LRU keyed by
-// the canonical polypath/v1 config hash plus workload identity, so
+// the canonical polypath/v2 config hash plus workload identity, so
 // resubmitting a sweep replays bit-identical metrics without simulating.
 // When the queue is full, submissions are rejected with 429 and a
 // Retry-After hint (backpressure). Drain lets in-flight jobs finish and
@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
@@ -197,7 +196,7 @@ type Server struct {
 	cfg   Config
 	sched *scheduler
 	svc   stats.Service
-	memo  *cache.LRU[harness.MemoValue]
+	memo  *harness.LRU[harness.MemoValue]
 	quar  *quarantine
 
 	// Observability (see metrics.go): the Prometheus registry behind
@@ -262,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, jobs: make(map[string]*Job), sweeps: make(map[string]*sweepRec)}
 	s.quar = newQuarantine(cfg.CrashThreshold)
 	if cfg.CacheCells > 0 {
-		s.memo = cache.NewLRU[harness.MemoValue](cfg.CacheCells)
+		s.memo = harness.NewLRU[harness.MemoValue](cfg.CacheCells)
 	}
 	if cfg.StoreDir != "" {
 		st, err := openStore(cfg.StoreDir)
@@ -749,7 +748,9 @@ func writeError(w http.ResponseWriter, code int, err error) {
 }
 
 // decodeBody strictly decodes a bounded JSON request body into v,
-// writing the 400 itself on failure (returns false).
+// writing the 400 itself on failure (returns false). Only whitespace may
+// follow the value: dec.More would let a stray "}" or "]" through, so the
+// next token must be io.EOF.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
@@ -760,6 +761,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid request body: %w", err))
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, errors.New("invalid request body: trailing data after the JSON value"))
 		return false
 	}
 	return true
