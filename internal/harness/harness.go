@@ -193,9 +193,8 @@ func (o Options) lookup(name string) (workload.Benchmark, error) {
 	return workload.ByName(name, o.TargetInsts)
 }
 
-// suite materializes the benchmark programs once; they are reused across
-// all configurations of an experiment.
-// suite returns one generated program per (benchmark, replicate).
+// suite generates one program per (benchmark, replicate), once; every
+// configuration of an experiment reuses them.
 func (o Options) suite() ([]workload.Benchmark, [][]*isa.Program, error) {
 	var bms []workload.Benchmark
 	if len(o.Benchmarks) == 0 {

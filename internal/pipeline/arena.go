@@ -106,6 +106,22 @@ func takeI64(buf *[]int64, n int) []int64 {
 	return s
 }
 
+// takeImage draws an n-word memory image from buf, or allocates one, and
+// fills it with init followed by zeros. A recycled image is written once:
+// init is copied over its head and only the tail is cleared.
+func takeImage(buf *[]int64, n int, init []int64) []int64 {
+	s := *buf
+	*buf = nil
+	if cap(s) < n {
+		s = make([]int64, n)
+		copy(s, init)
+		return s
+	}
+	s = s[:n]
+	clear(s[copy(s, init):])
+	return s
+}
+
 // takeWords returns an n-length zeroed word slice reusing s's capacity.
 func takeWords(s []uint64, n int) []uint64 {
 	if cap(s) < n {

@@ -290,7 +290,7 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	m := &Machine{
 		cfg:       cfg,
 		prog:      prog,
-		mem:       takeI64(&a.mem, prog.MemWords),
+		mem:       takeImage(&a.mem, prog.MemWords, prog.DataInit),
 		retireMap: rename.NewIdentityMap(),
 		physVal:   takeI64(&a.physVal, cfg.PhysRegs),
 		physReady: rename.ReuseReadySet(a.ready, cfg.PhysRegs),
@@ -319,7 +319,6 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	m.winBuf = a.takeEntries(2 * cfg.WindowSize)
 	m.window = m.winBuf[:0]
 	m.soaInit(len(m.winBuf), a)
-	copy(m.mem, prog.DataInit)
 	// Logical registers start architecturally zero and ready.
 	for i := 0; i < isa.NumRegs; i++ {
 		m.physReady.Set(rename.PhysReg(i))

@@ -12,11 +12,10 @@ import (
 // data (hard to predict), and loop control.
 func sumProgram(n int) *isa.Program {
 	b := workload.NewBuilder("sum")
-	data := make([]int64, n)
+	base, data := b.Alloc(n)
 	for i := range data {
 		data[i] = int64((i*7)%13 - 6)
 	}
-	base := b.Data(data)
 	b.Li(1, 0)        // i
 	b.Li(2, int64(n)) // n
 	b.Li(3, 0)        // sum

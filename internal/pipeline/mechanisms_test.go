@@ -105,15 +105,14 @@ func TestStoreForwardingStaysOnPath(t *testing.T) {
 	// paths would commit the wrong value, so architectural verification
 	// doubles as the CTX-filter check. Build it by hand for precision.
 	b := workload.NewBuilder("fwd")
-	data := make([]int64, 256)
+	base, data := b.Alloc(256)
 	for i := range data {
 		if i%2 == 0 {
 			data[i] = 1
 		}
 	}
-	base := b.Data(data)
-	cell := b.Data([]int64{0}) // the contested address
-	acc := b.Data([]int64{0})
+	cell, _ := b.Alloc(1) // the contested address
+	acc, _ := b.Alloc(1)
 	b.Li(1, 0)   // i
 	b.Li(2, 200) // n
 	b.Li(3, 0)   // acc value

@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -81,7 +83,7 @@ func writeJournal(path string, jobs []*Job) error {
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriter(tmp)
 	for _, j := range jobs {
-		payload, err := json.Marshal(journalEntry{ID: j.ID, Request: j.Request, Submitted: j.Submitted})
+		payload, err := json.Marshal(journalEntry{ID: j.ID, Request: j.Request, Submitted: j.Submitted, Tenant: j.Tenant})
 		if err != nil {
 			tmp.Close()
 			return err
@@ -103,6 +105,46 @@ func writeJournal(path string, jobs []*Job) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// maxJournalLine caps one journal line at load. It holds every record the
+// writer produces from an HTTP request: bodies stop at maxRequestBody, and
+// re-encoding a decoded request grows it less than eightfold (json.Marshal
+// writes a '<' as the six bytes \u003c and spells out a workload branch
+// spec's omitted fields).
+const maxJournalLine = 16 * maxRequestBody
+
+// errJournalLineTooLong reports a line past maxJournalLine.
+var errJournalLineTooLong = fmt.Errorf("record longer than %d bytes", maxJournalLine)
+
+// readJournalLine returns r's next line without its "\n" or "\r\n"
+// ending, or io.EOF when no bytes remain. A line longer than limit is
+// consumed whole but not kept: it returns errJournalLineTooLong, and the
+// next call reads the line after it.
+func readJournalLine(r *bufio.Reader, limit int) ([]byte, error) {
+	var line []byte
+	n := 0 // bytes of this line read so far, ending included
+	for {
+		chunk, err := r.ReadSlice('\n')
+		n += len(chunk)
+		if n <= limit+2 {
+			line = append(line, chunk...)
+		}
+		switch {
+		case err == bufio.ErrBufferFull:
+			continue
+		case err == io.EOF && n == 0:
+			return nil, io.EOF
+		case err != nil && err != io.EOF:
+			return nil, err
+		}
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		line = bytes.TrimSuffix(line, []byte{'\r'})
+		if n > limit+2 || len(line) > limit {
+			return nil, errJournalLineTooLong
+		}
+		return line, nil
+	}
 }
 
 // parseJournalLine validates one journal line and returns its JSON
@@ -129,9 +171,9 @@ func parseJournalLine(line []byte) ([]byte, error) {
 // journal. In drain mode the file is consumed and removed; in WAL mode
 // it is compacted to the pending accepts and reopened for appending.
 // Damaged content never fails startup: records that are torn, corrupt,
-// unparseable, no longer valid under the current server caps, or
-// unsubmittable are dropped with a log line and counted in
-// journal_dropped; each resumed job counts in journal_resumed.
+// longer than maxJournalLine, unparseable, no longer valid under the
+// current server caps, or unsubmittable are dropped with a log line and
+// counted in journal_dropped; each resumed job counts in journal_resumed.
 func (s *Server) loadJournal(path string) (int, error) {
 	drop := func(line int, id string, why error) {
 		s.svc.JournalDropped.Add(1)
@@ -151,13 +193,25 @@ func (s *Server) loadJournal(path string) (int, error) {
 	index := make(map[string]int) // job ID -> pending slot (-1 = done)
 	f, err := os.Open(path)
 	if err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-		for line := 1; sc.Scan(); line++ {
-			if strings.TrimSpace(sc.Text()) == "" {
+		r := bufio.NewReader(f)
+		var readErr error
+		for line := 1; ; line++ {
+			text, err := readJournalLine(r, maxJournalLine)
+			if err == io.EOF {
+				break
+			}
+			if err == errJournalLineTooLong {
+				drop(line, "", err)
 				continue
 			}
-			payload, err := parseJournalLine(sc.Bytes())
+			if err != nil {
+				readErr = err
+				break
+			}
+			if len(bytes.TrimSpace(text)) == 0 {
+				continue
+			}
+			payload, err := parseJournalLine(text)
 			if err != nil {
 				drop(line, "", err)
 				continue
@@ -182,10 +236,9 @@ func (s *Server) loadJournal(path string) (int, error) {
 				drop(line, e.ID, fmt.Errorf("unknown journal op %q", e.Op))
 			}
 		}
-		scanErr := sc.Err()
 		f.Close()
-		if scanErr != nil {
-			return 0, scanErr
+		if readErr != nil {
+			return 0, readErr
 		}
 	} else if !os.IsNotExist(err) {
 		return 0, err

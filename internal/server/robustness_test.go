@@ -1,10 +1,17 @@
 package server
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"io"
+	"log"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +121,7 @@ func TestQuarantineSignatures(t *testing.T) {
 }
 
 // journalRecord marshals a journal entry for a valid one-config request.
-func journalRecord(t *testing.T, id string) []byte {
+func journalRecord(t testing.TB, id string) []byte {
 	t.Helper()
 	payload, err := json.Marshal(journalEntry{
 		ID: id,
@@ -131,24 +138,32 @@ func journalRecord(t *testing.T, id string) []byte {
 	return payload
 }
 
-// TestJournalCorruptionRecovery loads a journal containing intact records,
-// a bit-rotted record, a torn tail, and a legacy (pre-checksum) record.
-// The damaged records are dropped and counted; everything intact resumes.
-func TestJournalCorruptionRecovery(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "polyserve.journal")
+// legacyJournalRecord is job-000003's record in the pre-checksum format.
+func legacyJournalRecord(t testing.TB) []byte {
+	return append(journalRecord(t, "job-000003"), '\n')
+}
 
+// damagedJournal returns a journal holding two intact records
+// (job-000001, job-000002), a legacy record (job-000003), a bit-rotted
+// record (job-000004) and a torn tail (job-000005).
+func damagedJournal(t testing.TB) []byte {
 	good1 := appendJournalRecord(nil, journalRecord(t, "job-000001"))
 	good2 := appendJournalRecord(nil, journalRecord(t, "job-000002"))
-	legacy := append(journalRecord(t, "job-000003"), '\n') // pre-checksum format
 	rotten := appendJournalRecord(nil, journalRecord(t, "job-000004"))
 	rotten[20] ^= 0x40 // flip one payload bit; the checksum no longer matches
 	torn := appendJournalRecord(nil, journalRecord(t, "job-000005"))
 	torn = torn[:len(torn)/2] // write cut off mid-record, no newline
+	return bytes.Join([][]byte{good1, good2, legacyJournalRecord(t), rotten, torn}, nil)
+}
 
-	var blob []byte
-	for _, rec := range [][]byte{good1, good2, legacy, rotten, torn} {
-		blob = append(blob, rec...)
-	}
+// TestJournalCorruptionRecovery loads a journal containing intact records,
+// a line longer than maxJournalLine, a bit-rotted record, a torn tail, and
+// a legacy (pre-checksum) record. The damaged records are dropped and
+// counted; everything intact resumes.
+func TestJournalCorruptionRecovery(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "polyserve.journal")
+	blob := append(bytes.Repeat([]byte{'x'}, maxJournalLine+1), '\n')
+	blob = append(blob, damagedJournal(t)...)
 	if err := os.WriteFile(journal, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -179,8 +194,8 @@ func TestJournalCorruptionRecovery(t *testing.T) {
 	if got := s.svc.JournalResumed.Load(); got != 3 {
 		t.Fatalf("journal_resumed = %d, want 3", got)
 	}
-	if got := s.svc.JournalDropped.Load(); got != 2 {
-		t.Fatalf("journal_dropped = %d, want 2", got)
+	if got := s.svc.JournalDropped.Load(); got != 3 {
+		t.Fatalf("journal_dropped = %d, want 3", got)
 	}
 	if _, err := os.Stat(journal); !os.IsNotExist(err) {
 		t.Fatalf("journal still exists after load (err=%v)", err)
@@ -219,6 +234,130 @@ func TestJournalRoundTripWithChecksums(t *testing.T) {
 			t.Fatalf("line %d: ID %s, want %s", i+1, e.ID, jobs[i].ID)
 		}
 	}
+}
+
+// TestReadJournalLine checks the loader's line reader: endings are
+// stripped, a line past the limit is skipped whole wherever it falls
+// (including across the reader's buffer and at EOF without a newline),
+// and reading resumes on the next line.
+func TestReadJournalLine(t *testing.T) {
+	long := strings.Repeat("x", 5000) // longer than the 4096-byte buffer
+	in := "a\r\n\n" + long + "\nb\n" + long + "\n" + strings.Repeat("y", 4500) + "\n" + long
+	r := bufio.NewReader(strings.NewReader(in))
+	want := []struct {
+		line string
+		err  error
+	}{
+		{"a", nil}, {"", nil}, {"", errJournalLineTooLong}, {"b", nil},
+		{"", errJournalLineTooLong}, {strings.Repeat("y", 4500), nil},
+		{"", errJournalLineTooLong}, {"", io.EOF},
+	}
+	for i, w := range want {
+		got, err := readJournalLine(r, 4500)
+		if string(got) != w.line || err != w.err {
+			t.Fatalf("line %d: got %d bytes, %v; want %d bytes, %v", i+1, len(got), err, len(w.line), w.err)
+		}
+	}
+}
+
+// longTitleBody is a valid request whose 200 000-character title is all
+// '<'. The body is about 200 kB, but json.Marshal writes each '<' as the
+// six bytes \u003c, so the job's journal records are 1.2 MB each.
+var longTitleBody = `{"configs":[{"name":"mono","model":"monopath"}],"benchmarks":["compress"],"insts":10000,"title":"` +
+	strings.Repeat("<", 200_000) + `"}`
+
+// TestWALLongRecordSurvivesRestart submits the long-title job to a
+// write-ahead-journal server, lets it finish, and starts a new server on
+// the same journal: the records must load like any other, so startup
+// succeeds with nothing dropped and nothing to resume.
+func TestWALLongRecordSurvivesRestart(t *testing.T) {
+	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "wal.journal"), JournalWAL: true, Log: testLogger(t)}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s1.Handler())
+	j := submitAndWait(t, ts, longTitleBody)
+	ts.Close()
+	if _, err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if j.State != JobDone {
+		t.Fatalf("long-title job ended %s (%s), want done", j.State, j.Error)
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart on the journal: %v", err)
+	}
+	defer s2.Drain()
+	if got := s2.svc.JournalDropped.Load(); got != 0 {
+		t.Fatalf("journal_dropped = %d, want 0", got)
+	}
+	if got := s2.svc.JournalResumed.Load(); got != 0 {
+		t.Fatalf("journal_resumed = %d, want 0 (the job finished)", got)
+	}
+}
+
+// FuzzLoadJournal uses the fuzz input as a write-ahead journal file.
+// Loading never panics and never fails on the file's content, and the
+// journal it compacts to is a fixed point: loading that again drops
+// nothing and resumes the same jobs, byte for byte.
+func FuzzLoadJournal(f *testing.F) {
+	f.Add(damagedJournal(f))
+	f.Add(legacyJournalRecord(f))
+
+	var long journalEntry
+	if err := json.Unmarshal([]byte(longTitleBody), &long.Request); err != nil {
+		f.Fatal(err)
+	}
+	long.ID, long.Op, long.Tenant = "job-000006", "accept", "acme"
+	payload, err := json.Marshal(long)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(appendJournalRecord(nil, payload))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "wal.journal")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, _ := loadWALForTest(t, path)
+		second, dropped := loadWALForTest(t, path)
+		if dropped != 0 {
+			t.Fatalf("the compacted journal dropped %d records", dropped)
+		}
+		if !slices.Equal(first, second) {
+			t.Fatalf("the compacted journal resumed\n%q\nwant\n%q", second, first)
+		}
+	})
+}
+
+// loadWALForTest loads path as a write-ahead journal on a fresh server
+// whose queue never fills, and returns the resumed jobs' entries as JSON,
+// by ID, and the journal_dropped count.
+func loadWALForTest(t *testing.T, path string) ([]string, uint64) {
+	s := &Server{
+		cfg:  Config{JournalPath: path, JournalWAL: true, Log: log.New(io.Discard, "", 0)}.withDefaults(),
+		jobs: make(map[string]*Job),
+	}
+	s.sched = newScheduler(1, math.MaxInt, func(*Job) {})
+	defer s.sched.drain()
+	defer s.walClose()
+	if _, err := s.loadJournal(path); err != nil {
+		t.Fatalf("loadJournal failed on file content: %v", err)
+	}
+	var resumed []string
+	for id, j := range s.jobs {
+		b, err := json.Marshal(journalEntry{ID: id, Request: j.Request, Submitted: j.Submitted, Tenant: j.Tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed = append(resumed, string(b))
+	}
+	slices.Sort(resumed)
+	return resumed, s.svc.JournalDropped.Load()
 }
 
 // TestDrainRacesWorkerPanic drains the server while a chaos job is

@@ -747,12 +747,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
+// maxRequestBody caps a request body: decodeBody reads no further.
+const maxRequestBody = 1 << 20
+
 // decodeBody strictly decodes a bounded JSON request body into v,
 // writing the 400 itself on failure (returns false). Only whitespace may
 // follow the value: dec.More would let a stray "}" or "]" through, so the
 // next token must be io.EOF.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return false

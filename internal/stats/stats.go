@@ -46,7 +46,10 @@ type Sim struct {
 	WrongSubtreeKills  uint64 // divergence resolutions that killed a subtree
 	MonopathRecoveries uint64 // conventional misprediction recoveries
 
-	// Sampled distributions.
+	// Sampled distributions, one sample per simulated cycle except the
+	// last: the halting cycle records none (the pipeline's step skips its
+	// sample, and commit returns as soon as Halt retires), so each holds
+	// Cycles-1 samples.
 	PathHist   Histogram // live paths per cycle
 	WindowHist Histogram // window occupancy per cycle
 	CommitHist Histogram // instructions committed per cycle

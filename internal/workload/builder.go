@@ -10,6 +10,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -113,12 +114,16 @@ func (b *Builder) Halt() { b.Emit(isa.Inst{Op: isa.Halt}) }
 // Nop emits a no-op.
 func (b *Builder) Nop() { b.Emit(isa.Inst{Op: isa.Nop}) }
 
-// Data appends words to the data segment and returns the word address of
-// the first appended word.
-func (b *Builder) Data(words []int64) int64 {
-	addr := int64(len(b.data))
-	b.data = append(b.data, words...)
-	return addr
+// Alloc appends n zero words to the data segment and returns the word
+// address of the first one together with the words themselves, which the
+// caller fills in place. The slice aliases the segment only until the
+// next Alloc or DataLabel, either of which may move it. Within capacity
+// nothing is allocated, and the words are zero because the segment only
+// grows: no word past its length has been written.
+func (b *Builder) Alloc(n int) (int64, []int64) {
+	addr := len(b.data)
+	b.data = slices.Grow(b.data, n)[:addr+n]
+	return int64(addr), b.data[addr:]
 }
 
 // DataLabel appends a data word that will hold the instruction address of

@@ -99,8 +99,10 @@ func TestBuilderBranchWithNonBranchOp(t *testing.T) {
 
 func TestBuilderDataPlacementAndMemorySizing(t *testing.T) {
 	b := NewBuilder("data")
-	a1 := b.Data([]int64{1, 2, 3})
-	a2 := b.Data([]int64{4})
+	a1, w1 := b.Alloc(3)
+	copy(w1, []int64{1, 2, 3})
+	a2, w2 := b.Alloc(1)
+	w2[0] = 4
 	if a1 != 0 || a2 != 3 {
 		t.Errorf("data addresses %d, %d", a1, a2)
 	}
@@ -113,7 +115,7 @@ func TestBuilderDataPlacementAndMemorySizing(t *testing.T) {
 		t.Errorf("memory sizing: %d words for %d data", p.MemWords, len(p.DataInit))
 	}
 	it := isa.NewInterp(p)
-	if it.Mem[3] != 4 {
+	if it.Mem[0] != 1 || it.Mem[2] != 3 || it.Mem[3] != 4 {
 		t.Error("data not loaded into memory")
 	}
 }

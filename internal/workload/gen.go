@@ -101,25 +101,31 @@ const (
 	scratchWords = 512     // scratch read/write area for work blocks
 )
 
-// Generate builds the synthetic program for spec. It runs a short pilot
-// build to measure instructions per iteration, then rebuilds with the
-// iteration count that meets TargetInsts.
+// pilotIterations is the outer-loop count of the pilot run that measures
+// a program's instructions per iteration.
+const pilotIterations = 4
+
+// Generate builds the synthetic program for spec. It runs the program it
+// will return for pilotIterations outer iterations to measure instructions
+// per iteration, then sets the outer-loop count that meets TargetInsts in
+// place. No other word depends on the count, so the result is exactly the
+// program a build with the final count would produce.
 func Generate(spec Spec) (*isa.Program, error) {
 	if err := checkSpec(spec); err != nil {
 		return nil, err
 	}
-	pilot, err := build(spec, 4)
+	p, err := build(spec)
 	if err != nil {
 		return nil, err
 	}
-	it := isa.NewInterp(pilot)
+	it := isa.NewInterp(p)
 	if err := it.Run(1 << 24); err != nil {
 		return nil, fmt.Errorf("workload: pilot run: %w", err)
 	}
 	if !it.Halted {
 		return nil, fmt.Errorf("workload: pilot run did not halt")
 	}
-	perIter := it.InstCount / 4
+	perIter := it.InstCount / pilotIterations
 	if perIter == 0 {
 		perIter = 1
 	}
@@ -127,7 +133,8 @@ func Generate(spec Spec) (*isa.Program, error) {
 	if iters < 8 {
 		iters = 8
 	}
-	return build(spec, iters)
+	p.Code[0].Imm = int64(iters) // the prologue's Li rOuter
+	return p, nil
 }
 
 // MustGenerate is Generate that panics on error; generator specs are
@@ -199,17 +206,37 @@ func checkSpec(spec Spec) error {
 	return nil
 }
 
-func build(spec Spec, iterations int) (*isa.Program, error) {
+// dataWords is the size of build's data segment: one stream per
+// Bernoulli or switch branch, the scratch area, and each switch's jump
+// table.
+func dataWords(spec Spec) int {
+	n := scratchWords
+	for _, br := range spec.Branches {
+		switch br.Kind {
+		case KindBernoulli:
+			n += streamWords
+		case KindSwitch:
+			n += streamWords + br.Fanout
+		}
+	}
+	return n
+}
+
+// build emits spec's program with the outer-loop count pilotIterations,
+// set by the prologue's first instruction.
+func build(spec Spec) (*isa.Program, error) {
 	b := NewBuilder(spec.Name)
+	b.data = make([]int64, 0, dataWords(spec))
 	rng := rand.New(rand.NewSource(spec.Seed))
 
-	// Data segment: one Bernoulli stream per data-driven branch, then the
-	// scratch area.
+	// Data segment: one stream per data-driven branch, drawn in place,
+	// then the scratch area. Switch jump tables follow, appended as the
+	// code that indexes them is emitted.
 	streamBase := make([]int64, len(spec.Branches))
 	for i, br := range spec.Branches {
 		switch br.Kind {
 		case KindBernoulli:
-			words := make([]int64, streamWords)
+			base, words := b.Alloc(streamWords)
 			for w := range words {
 				// Phased branches alternate between Bias and Bias2 every
 				// PhaseLen positions; exactly one draw per word either way,
@@ -223,19 +250,19 @@ func build(spec Spec, iterations int) (*isa.Program, error) {
 					words[w] = 1
 				}
 			}
-			streamBase[i] = b.Data(words)
+			streamBase[i] = base
 		case KindSwitch:
-			words := make([]int64, streamWords)
+			base, words := b.Alloc(streamWords)
 			for w := range words {
 				words[w] = int64(rng.Intn(br.Fanout))
 			}
-			streamBase[i] = b.Data(words)
+			streamBase[i] = base
 		}
 	}
-	scratchBase := b.Data(make([]int64, scratchWords))
+	scratchBase, _ := b.Alloc(scratchWords)
 
 	// Prologue.
-	b.Li(rOuter, int64(iterations))
+	b.Li(rOuter, pilotIterations)
 	b.Li(rStream, 0)
 	b.Li(rMask, streamWords-1)
 	b.Li(rScratch, scratchBase)
