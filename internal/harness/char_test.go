@@ -53,7 +53,7 @@ func TestOptionsExtraJoinsDefaultSuite(t *testing.T) {
 		TargetInsts: 20_000,
 		Extra:       []workload.Benchmark{{Spec: traceSpec(0)}},
 	}
-	benches, _, err := opts.suite()
+	benches, err := opts.suite()
 	if err != nil {
 		t.Fatal(err)
 	}

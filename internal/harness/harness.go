@@ -12,10 +12,12 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -71,13 +73,29 @@ func CellID(benchmark, config string, replicate int) string {
 }
 
 // CellKey is the content address of one simulation outcome: the workload
-// identity (name, seed, dynamic length) plus the canonical hash of the
-// normalized configuration. Two cells with equal keys are guaranteed
-// bit-identical results (simulations are deterministic), so the key is
-// safe to use for memoization, fleet-wide result stores, and idempotent
-// re-execution after a crash.
+// identity (name, seed, dynamic length, and a digest of the whole spec)
+// plus the canonical hash of the normalized configuration. The digest
+// keeps two inline workloads that share a name, seed and length but
+// differ in any other field apart. Two cells with equal keys are
+// guaranteed bit-identical results (simulations are deterministic), so
+// the key is safe to use for memoization, fleet-wide result stores, and
+// idempotent re-execution after a crash.
 func CellKey(spec workload.Spec, cfgHash string) string {
-	return fmt.Sprintf("w=%s:%d:%d|c=%s", spec.Name, spec.Seed, spec.TargetInsts, cfgHash)
+	return cellKeyPrefix(spec) + cfgHash
+}
+
+// cellKeyPrefix is CellKey up to the config hash:
+// "w=name:seed:insts:digest|c=", where digest is the first 8 bytes of the
+// SHA-256 of the spec's JSON encoding, in hex.
+func cellKeyPrefix(spec workload.Spec) string {
+	doc, err := json.Marshal(spec)
+	if err != nil {
+		// Only a NaN or infinite float field fails to encode; the %v
+		// text still tells such specs apart.
+		doc = fmt.Appendf(nil, "%v", spec)
+	}
+	sum := sha256.Sum256(doc)
+	return fmt.Sprintf("w=%s:%d:%d:%x|c=", spec.Name, spec.Seed, spec.TargetInsts, sum[:8])
 }
 
 // CellSpec is the full identity of one cell handed to Options.Exec: enough
@@ -193,9 +211,11 @@ func (o Options) lookup(name string) (workload.Benchmark, error) {
 	return workload.ByName(name, o.TargetInsts)
 }
 
-// suite generates one program per (benchmark, replicate), once; every
-// configuration of an experiment reuses them.
-func (o Options) suite() ([]workload.Benchmark, [][]*isa.Program, error) {
+// suite resolves the run's benchmarks: the named ones, or by default the
+// Table 1 suite followed by the Extra workloads. Programs are generated
+// later, per (benchmark, replicate), by the first cell that needs one
+// (runMatrix).
+func (o Options) suite() ([]workload.Benchmark, error) {
 	var bms []workload.Benchmark
 	if len(o.Benchmarks) == 0 {
 		// Default matrix: the Table 1 suite (byte-identical to the
@@ -204,7 +224,7 @@ func (o Options) suite() ([]workload.Benchmark, [][]*isa.Program, error) {
 		for _, b := range o.Extra {
 			extra, err := o.lookup(b.Spec.Name)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			bms = append(bms, extra)
 		}
@@ -212,53 +232,12 @@ func (o Options) suite() ([]workload.Benchmark, [][]*isa.Program, error) {
 		for _, name := range o.Benchmarks {
 			bm, err := o.lookup(name)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			bms = append(bms, bm)
 		}
 	}
-	reps := o.replicates()
-	if o.Exec != nil {
-		// Remote execution: workers regenerate programs from the workload
-		// spec themselves, so generating them here would be pure waste.
-		// The progs matrix stays nil-valued; the local simulation path is
-		// never taken when Exec is set.
-		progs := make([][]*isa.Program, len(bms))
-		for i := range progs {
-			progs[i] = make([]*isa.Program, reps)
-		}
-		return bms, progs, nil
-	}
-	// Generation is sharded through the same deterministic engine as the
-	// cells: each (benchmark, replicate) is one task with a stable ID, and
-	// the positional merge fills progs identically under any worker count.
-	type genJob struct{ bench, rep int }
-	jobs := make([]genJob, 0, len(bms)*reps)
-	for i := range bms {
-		for r := 0; r < reps; r++ {
-			jobs = append(jobs, genJob{bench: i, rep: r})
-		}
-	}
-	res, err := sched.Map(
-		sched.Options{Workers: o.parallelism(), Context: o.context()},
-		jobs,
-		func(j genJob, _ int) string { return "gen/" + CellID(bms[j.bench].Spec.Name, "workload", j.rep) },
-		func(tc *sched.TaskContext, j genJob) (*isa.Program, error) {
-			spec := bms[j.bench].Spec
-			spec.Seed += int64(1000 * j.rep)
-			return workload.Generate(spec)
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	progs := make([][]*isa.Program, len(bms))
-	for i := range bms {
-		progs[i] = make([]*isa.Program, reps)
-	}
-	for k, j := range jobs {
-		progs[j.bench][j.rep] = res[k].Value
-	}
-	return bms, progs, nil
+	return bms, nil
 }
 
 // NamedConfig pairs a configuration with its display label.
@@ -336,10 +315,13 @@ func (m *Matrix) HarmonicMean(config string) float64 {
 }
 
 // runMatrix simulates every benchmark under every configuration through
-// the internal/sched engine, reusing one generated program per
-// (benchmark, replicate). With Options.Memo set, previously-simulated
-// cells replay from the cache; with Options.Context set, cancellation
-// aborts in-flight cycle loops.
+// the internal/sched engine. Each (benchmark, replicate) program is
+// generated at most once, inside the first of its cells that misses the
+// memo and runs locally; the program's other cells wait for that and
+// reuse it. So a run whose cells all replay from Options.Memo, or all go
+// to Options.Exec, generates nothing, and a generation error fails every
+// cell of its program. With Options.Context set, cancellation aborts
+// in-flight cycle loops.
 //
 // Determinism contract: cells are submitted in (benchmark, config,
 // replicate) order with stable IDs, the engine merges results
@@ -349,7 +331,7 @@ func (m *Matrix) HarmonicMean(config string) float64 {
 // failing cell, every run.
 func runMatrix(opts Options, configs []NamedConfig) (*Matrix, error) {
 	ctx := opts.context()
-	bms, progs, err := opts.suite()
+	bms, err := opts.suite()
 	if err != nil {
 		return nil, err
 	}
@@ -374,23 +356,40 @@ func runMatrix(opts Options, configs []NamedConfig) (*Matrix, error) {
 		}
 	}
 
+	// program is one (benchmark, replicate) workload, shared by the
+	// cells of every configuration and generated on first use.
+	type program struct {
+		spec      workload.Spec // replicate seeding applied
+		keyPrefix string        // CellKey's workload part (Memo only)
+		once      sync.Once
+		prog      *isa.Program
+		err       error
+	}
+	reps := opts.replicates()
+	progs := make([]program, len(bms)*reps)
+	for i, bm := range bms {
+		for r := 0; r < reps; r++ {
+			p := &progs[i*reps+r]
+			p.spec = bm.Spec
+			p.spec.Seed += int64(1000 * r)
+			if opts.Memo != nil {
+				p.keyPrefix = cellKeyPrefix(p.spec)
+			}
+		}
+	}
 	type job struct {
 		bench string
-		spec  workload.Spec
-		prog  *isa.Program
+		prog  *program
 		nc    NamedConfig
 		hash  string
 		rep   int
 	}
-	reps := opts.replicates()
 	jobs := make([]job, 0, len(bms)*len(configs)*reps)
 	for i, bm := range bms {
 		for ci, nc := range configs {
 			for r := 0; r < reps; r++ {
-				spec := bm.Spec
-				spec.Seed += int64(1000 * r) // mirror suite()'s replicate seeding
 				jobs = append(jobs, job{
-					bench: bm.Spec.Name, spec: spec, prog: progs[i][r],
+					bench: bm.Spec.Name, prog: &progs[i*reps+r],
 					nc: nc, hash: cfgHash[ci], rep: r,
 				})
 			}
@@ -420,15 +419,16 @@ func runMatrix(opts Options, configs []NamedConfig) (*Matrix, error) {
 					ring *obs.Ring
 				)
 				start := time.Now()
+				p := j.prog
 				if opts.Memo != nil {
-					key = CellKey(j.spec, j.hash)
+					key = p.keyPrefix + j.hash
 					out.val, out.fromCache = opts.Memo.Get(key)
 				}
 				if !out.fromCache {
 					if opts.Exec != nil {
 						v, err := opts.Exec(tc.Context, CellSpec{
 							Benchmark:  j.bench,
-							Spec:       j.spec,
+							Spec:       p.spec,
 							Replicate:  j.rep,
 							Config:     j.nc.Cfg,
 							ConfigHash: j.hash,
@@ -438,6 +438,10 @@ func runMatrix(opts Options, configs []NamedConfig) (*Matrix, error) {
 						}
 						out.val = v
 					} else {
+						p.once.Do(func() { p.prog, p.err = workload.Generate(p.spec) })
+						if p.err != nil {
+							return out, fmt.Errorf("%s/%s: %w", j.bench, j.nc.Name, p.err)
+						}
 						cfg := j.nc.Cfg
 						if opts.Audit != pipeline.AuditOff {
 							cfg.Audit = opts.Audit
@@ -447,7 +451,7 @@ func runMatrix(opts Options, configs []NamedConfig) (*Matrix, error) {
 							ring = obs.NewRing(opts.TraceLimit)
 							tr = ring
 						}
-						res, err := core.RunCell(tc.Context, j.prog, cfg, tr, arenas[tc.Shard])
+						res, err := core.RunCell(tc.Context, p.prog, cfg, tr, arenas[tc.Shard])
 						if err != nil {
 							return out, fmt.Errorf("%s/%s: %w", j.bench, j.nc.Name, err)
 						}

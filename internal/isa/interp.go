@@ -110,9 +110,7 @@ type Interp struct {
 // NewInterp creates an interpreter with reset architectural state: zeroed
 // registers, memory initialized from the program's DataInit, PC at 0.
 func NewInterp(p *Program) *Interp {
-	mem := make([]int64, p.MemWords)
-	copy(mem, p.DataInit)
-	return &Interp{Prog: p, Mem: mem}
+	return &Interp{Prog: p, Mem: p.Image(nil)}
 }
 
 // Step executes a single instruction. It returns an error if the machine

@@ -145,6 +145,21 @@ func (p *Program) Validate() error {
 	return nil
 }
 
+// Image returns p's memory at reset — DataInit followed by zeros, MemWords
+// words long — in buf's backing array when it is large enough, or in a
+// new one. A reused buffer is written once: DataInit is copied over its
+// head and only the tail is cleared.
+func (p *Program) Image(buf []int64) []int64 {
+	if cap(buf) < p.MemWords {
+		buf = make([]int64, p.MemWords)
+		copy(buf, p.DataInit)
+		return buf
+	}
+	buf = buf[:p.MemWords]
+	clear(buf[copy(buf, p.DataInit):])
+	return buf
+}
+
 // IsCondBranch reports whether op is a conditional branch.
 func (op Op) IsCondBranch() bool {
 	switch op {

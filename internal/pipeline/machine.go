@@ -1,8 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"unsafe"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -290,7 +292,7 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	m := &Machine{
 		cfg:       cfg,
 		prog:      prog,
-		mem:       takeImage(&a.mem, prog.MemWords, prog.DataInit),
+		mem:       prog.Image(a.mem),
 		retireMap: rename.NewIdentityMap(),
 		physVal:   takeI64(&a.physVal, cfg.PhysRegs),
 		physReady: rename.ReuseReadySet(a.ready, cfg.PhysRegs),
@@ -303,7 +305,7 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		paths:     a.takePaths(cfg.MaxPaths),
 		frontEnd:  a.takeFrontEnd(cfg.FrontEndStages),
 	}
-	a.ready = rename.ReadySet{}
+	a.mem, a.ready = nil, rename.ReadySet{}
 	m.entryPool, m.finstPool, m.latchPool, m.fpsScratch = a.takePools(cfg.RASDepth)
 	m.auditInts, m.auditBools = a.takeAudit()
 	// The completion ring must cover the longest possible operation
@@ -652,10 +654,21 @@ func (m *Machine) VerifyArchState() error {
 			return fmt.Errorf("pipeline: r%d = %d, reference %d", r, regs[r], m.interp.Regs[r])
 		}
 	}
+	// The images are compared whole at memory speed; the word-by-word
+	// walk runs only on a mismatch, to name the first differing word.
+	if bytes.Equal(wordBytes(m.mem), wordBytes(m.interp.Mem)) {
+		return nil
+	}
 	for a := range m.mem {
 		if m.mem[a] != m.interp.Mem[a] {
 			return fmt.Errorf("pipeline: mem[%d] = %d, reference %d", a, m.mem[a], m.interp.Mem[a])
 		}
 	}
 	return nil
+}
+
+// wordBytes views w's backing array as bytes, without copying. Two word
+// slices are equal exactly when their byte views are.
+func wordBytes(w []int64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), 8*len(w))
 }

@@ -56,9 +56,10 @@ type JobRequest struct {
 	// travel here, so a fleet can sweep a trace-backed workload without
 	// any worker-side registration. Names must not collide with the
 	// built-in families; the specs join the suite (and may be referenced
-	// from Benchmarks). Cell identity is unchanged: a trace-derived
-	// workload's name carries its content digest, so the result store
-	// stays content-addressed.
+	// from Benchmarks). Cell identity (harness.CellKey) includes a
+	// digest of the whole spec, so two inline workloads that share a
+	// name, seed and length but differ in body never share memo or
+	// result-store entries.
 	Workloads []workload.Spec `json:"workloads,omitempty"`
 	// Replicates averages extra workload seeds per cell (0/1 = single).
 	Replicates int `json:"replicates,omitempty"`

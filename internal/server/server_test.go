@@ -15,9 +15,13 @@ import (
 	"repro/internal/harness"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+// newTestServer starts a server behind an httptest listener, both closed
+// when t ends. Its events go to t's log unless cfg.Log is set.
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg.Log = testLogger(t)
+	if cfg.Log == nil {
+		cfg.Log = testLogger(t)
+	}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -28,18 +32,18 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func testLogger(t *testing.T) *log.Logger {
+func testLogger(t testing.TB) *log.Logger {
 	return log.New(testWriter{t}, "", 0)
 }
 
-type testWriter struct{ t *testing.T }
+type testWriter struct{ t testing.TB }
 
 func (w testWriter) Write(p []byte) (int, error) {
 	w.t.Log(strings.TrimRight(string(p), "\n"))
 	return len(p), nil
 }
 
-func post(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
+func post(t testing.TB, ts *httptest.Server, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -54,8 +58,10 @@ func post(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byt
 }
 
 // submitAndWait submits a request and polls until the job leaves the
-// queued/running states, returning the final job view.
-func submitAndWait(t *testing.T, ts *httptest.Server, body string) Job {
+// queued/running states, returning the final job view. The poll interval
+// starts at 100µs and doubles up to 5ms, so a job that finishes within a
+// millisecond is seen finished within about that long.
+func submitAndWait(t testing.TB, ts *httptest.Server, body string) Job {
 	t.Helper()
 	resp, data := post(t, ts, body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -66,18 +72,18 @@ func submitAndWait(t *testing.T, ts *httptest.Server, body string) Job {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
+	for wait := 100 * time.Microsecond; time.Now().Before(deadline); wait = min(2*wait, 5*time.Millisecond) {
 		got := getJob(t, ts, j.ID)
 		if got.State != JobQueued && got.State != JobRunning {
 			return got
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(wait)
 	}
 	t.Fatalf("job %s did not finish within 60s", j.ID)
 	return Job{}
 }
 
-func getJob(t *testing.T, ts *httptest.Server, id string) Job {
+func getJob(t testing.TB, ts *httptest.Server, id string) Job {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 	if err != nil {
@@ -94,7 +100,7 @@ func getJob(t *testing.T, ts *httptest.Server, id string) Job {
 	return j
 }
 
-func getResult(t *testing.T, ts *httptest.Server, id string) JobResult {
+func getResult(t testing.TB, ts *httptest.Server, id string) JobResult {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/results/" + id)
 	if err != nil {

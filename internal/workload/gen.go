@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -105,6 +106,11 @@ const (
 // a program's instructions per iteration.
 const pilotIterations = 4
 
+// pilotImages recycles the pilot run's memory image across Generate
+// calls, which may run concurrently. It holds *[]int64 so that Put does
+// not allocate.
+var pilotImages = sync.Pool{New: func() any { return new([]int64) }}
+
 // Generate builds the synthetic program for spec. It runs the program it
 // will return for pilotIterations outer iterations to measure instructions
 // per iteration, then sets the outer-loop count that meets TargetInsts in
@@ -118,8 +124,12 @@ func Generate(spec Spec) (*isa.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	it := isa.NewInterp(p)
-	if err := it.Run(1 << 24); err != nil {
+	img := pilotImages.Get().(*[]int64)
+	*img = p.Image(*img)
+	it := &isa.Interp{Prog: p, Mem: *img}
+	err = it.Run(1 << 24)
+	pilotImages.Put(img)
+	if err != nil {
 		return nil, fmt.Errorf("workload: pilot run: %w", err)
 	}
 	if !it.Halted {
