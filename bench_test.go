@@ -7,6 +7,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -111,7 +112,7 @@ func benchSimulator(b *testing.B, cfg core.Config) {
 	b.ResetTimer()
 	var committed uint64
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(prog, cfg)
+		res, err := core.RunCell(context.Background(), prog, cfg, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,7 +12,7 @@
 //	polychar -all -j 8                      # Figure 8 placement table, all families
 //	polychar -all -json                     # machine-readable placement table
 //
-// polysim closes the loop: `polysim -workload X -emit-trace f.pbt.gz`
+// polysim closes the loop: `polysim -bench X -emit-trace f.pbt.gz`
 // exports a trace that polychar can profile, and `polysim -import-trace`
 // simulates the synthesized stand-in.
 package main

@@ -16,8 +16,9 @@
 //	  '{"configs":[{"name":"mono","model":"monopath"},{"name":"see","model":"see"}],
 //	    "insts":50000,"parallelism":8}'
 //
-// On SIGINT/SIGTERM the server drains gracefully: in-flight jobs finish,
-// still-queued jobs are journaled to -journal and resumed on restart.
+// Every admitted job is journaled write-ahead to -journal until it
+// finishes, so still-queued jobs resume on restart after a graceful
+// SIGINT/SIGTERM drain (in-flight jobs finish first) or an abrupt kill.
 //
 // The same binary also runs distributed (see README.md "Distributed
 // operation"): a coordinator accepts the identical /v1 API and shards
@@ -27,7 +28,7 @@
 //	polyserve -role worker -node w1 -addr :8081 -coordinator http://localhost:8080 -store /tmp/store
 //
 // with lease-based membership, consistent-hash cell ownership, retries,
-// hedging, and a write-ahead journal so in-flight sweeps survive a
+// and hedging; the same journal lets in-flight sweeps survive a
 // coordinator restart.
 package main
 
@@ -72,7 +73,7 @@ func main() {
 	par := flag.Int("par", 0, "parallel simulations per job (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "default per-job wall-time cap (0 = none)")
 	maxInsts := flag.Uint64("maxinsts", 0, "per-benchmark instruction cap clients may request (0 = unbounded)")
-	journal := flag.String("journal", "polyserve.journal", "queued-job journal written on drain (empty = disable)")
+	journal := flag.String("journal", "polyserve.journal", "write-ahead job journal; pending jobs resume from it on restart (empty = disable)")
 	audit := flag.String("audit", "off", "invariant-audit level for every simulation: off, commit, cycle")
 	crashThreshold := flag.Int("crash-threshold", 3, "contained worker crashes before a request signature is quarantined")
 	chaosPanic := flag.String("chaos-panic", "", "chaos testing only: panic the worker on jobs whose title contains this string")
@@ -137,9 +138,6 @@ func main() {
 	}
 	if *role == server.RoleCoordinator {
 		cfg.DialWorker = client.DialWorker
-		// The coordinator journals write-ahead: accepted jobs survive even
-		// an abrupt kill, not just a graceful drain.
-		cfg.JournalWAL = *journal != ""
 	}
 	srv, err := server.New(cfg)
 	if err != nil {
@@ -200,7 +198,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "polyserve:", err)
 		os.Exit(1)
 	case got := <-sig:
-		logger.Printf("polyserve: %v: draining (in-flight jobs finish; queued jobs journal to %s)", got, *journal)
+		logger.Printf("polyserve: %v: draining (in-flight jobs finish; queued jobs stay journaled in %s)", got, *journal)
 	}
 
 	// Stop accepting HTTP first, then drain the scheduler.
@@ -215,7 +213,7 @@ func main() {
 		os.Exit(1)
 	}
 	if n > 0 {
-		logger.Printf("polyserve: journaled %d queued job(s)", n)
+		logger.Printf("polyserve: %d queued job(s) left in the journal", n)
 	}
 	logger.Printf("polyserve: bye")
 }

@@ -61,8 +61,7 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "go", "benchmark: compress,gcc,perl,go,m88ksim,xlisp,vortex,jpeg")
-	workloadName := flag.String("workload", "", "run any workload by name (alias of -bench covering the extended families; unknown names list every workload)")
+	bench := flag.String("bench", "go", "workload by name: compress,gcc,perl,go,m88ksim,xlisp,vortex,jpeg or any extended family (unknown names list every workload)")
 	asmFile := flag.String("asm", "", "simulate an assembly file instead of a generated benchmark")
 	model := flag.String("model", "see", "model: "+strings.Join(core.ModelNames(), ","))
 	compare := flag.String("compare", "", "comma-separated models to run side by side through the sharded harness; prints one IPC table instead of a single-model report")
@@ -95,10 +94,6 @@ func main() {
 	if *version {
 		fmt.Println("polysim", obs.Version())
 		return
-	}
-
-	if *workloadName != "" {
-		*bench = *workloadName
 	}
 
 	if *compare != "" {
@@ -181,7 +176,7 @@ func main() {
 		ring = obs.NewRing(*traceLimit)
 	}
 
-	// Run the machine directly (rather than through core.Run) so the live
+	// Run the machine directly (rather than through core.RunCell) so the live
 	// statistics can back the -debug-addr /metrics endpoint mid-simulation.
 	m, err := pipeline.New(prog, cfg)
 	fail(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -19,6 +20,7 @@ import (
 func main() {
 	insts := flag.Uint64("insts", 300_000, "dynamic instructions per benchmark")
 	flag.Parse()
+	ctx := context.Background()
 	estimators := []struct {
 		name string
 		cfg  func() core.Config
@@ -58,7 +60,7 @@ func main() {
 		fmt.Printf("%s (paper Table 1 mispredict %.2f%%):\n", name, 100*bm.PaperMispredict)
 		var monoIPC float64
 		for _, e := range estimators {
-			res, err := core.Run(prog, e.cfg())
+			res, err := core.RunCell(ctx, prog, e.cfg(), nil, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,6 +19,7 @@ import (
 func main() {
 	insts := flag.Uint64("insts", 300_000, "dynamic instructions per benchmark")
 	flag.Parse()
+	ctx := context.Background()
 	fmt.Println("benchmark   monopath     dual-path       SEE    dual/SEE-gain   avg-paths  <=3-paths")
 	var sumFrac float64
 	var counted int
@@ -30,15 +32,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mono, err := core.Run(prog, core.ConfigMonopath())
+		mono, err := core.RunCell(ctx, prog, core.ConfigMonopath(), nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		dual, err := core.Run(prog, core.ConfigDualPath())
+		dual, err := core.RunCell(ctx, prog, core.ConfigDualPath(), nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		see, err := core.Run(prog, core.ConfigSEE())
+		see, err := core.RunCell(ctx, prog, core.ConfigSEE(), nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -20,6 +21,7 @@ import (
 func main() {
 	insts := flag.Uint64("insts", 300_000, "dynamic instructions to simulate")
 	flag.Parse()
+	ctx := context.Background()
 	bm, err := workload.ByName("gcc", *insts)
 	if err != nil {
 		log.Fatal(err)
@@ -41,11 +43,11 @@ func main() {
 			c.DCacheMissLatency = lat
 			return c
 		}
-		mono, err := core.Run(prog, withCache(core.ConfigMonopath()))
+		mono, err := core.RunCell(ctx, prog, withCache(core.ConfigMonopath()), nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		see, err := core.Run(prog, withCache(core.ConfigSEE()))
+		see, err := core.RunCell(ctx, prog, withCache(core.ConfigSEE()), nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -18,6 +19,7 @@ import (
 func main() {
 	insts := flag.Uint64("insts", 200_000, "dynamic instructions to simulate")
 	flag.Parse()
+	ctx := context.Background()
 
 	// A custom workload: a loop body with two hard-to-predict branches
 	// (70% and 50% taken), one periodic branch, and one inner loop —
@@ -45,11 +47,11 @@ func main() {
 	fmt.Printf("generated %q: %d static instructions, %d memory words\n\n",
 		prog.Name, len(prog.Code), prog.MemWords)
 
-	mono, err := core.Run(prog, core.ConfigMonopath())
+	mono, err := core.RunCell(ctx, prog, core.ConfigMonopath(), nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	see, err := core.Run(prog, core.ConfigSEE())
+	see, err := core.RunCell(ctx, prog, core.ConfigSEE(), nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func main() {
 		Kind:   pipeline.PredTage,
 		Params: map[string]int(bpred.TageIsoParams(11)),
 	}
-	tage, err := core.Run(prog, tcfg)
+	tage, err := core.RunCell(ctx, prog, tcfg, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

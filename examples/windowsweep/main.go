@@ -5,17 +5,20 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
 func main() {
 	insts := flag.Uint64("insts", 200_000, "dynamic instructions to simulate")
 	flag.Parse()
+	ctx := context.Background()
 	bm, err := workload.ByName("compress", *insts)
 	if err != nil {
 		log.Fatal(err)
@@ -42,10 +45,11 @@ func main() {
 	for _, w := range []int{32, 64, 128, 256, 512} {
 		fmt.Printf("%-8d", w)
 		for _, m := range models {
-			cfg := m.cfg()
-			cfg.WindowSize = w
-			cfg.PhysRegs, cfg.Checkpoints = 0, 0 // re-derive for the window
-			res, err := core.Run(prog, cfg)
+			cfg, err := pipeline.NewConfigFrom(m.cfg(), pipeline.WithWindowSize(w))
+			if err != nil {
+				log.Fatal(err)
+			}
+			res, err := core.RunCell(ctx, prog, cfg, nil, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

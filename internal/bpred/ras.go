@@ -50,9 +50,6 @@ func (r *RAS) Pop() (addr int, ok bool) {
 // Depth returns the configured capacity.
 func (r *RAS) Depth() int { return r.depth }
 
-// Count returns the number of live frames.
-func (r *RAS) Count() int { return r.count }
-
 // Clone returns an independent copy (per-path speculative state).
 func (r *RAS) Clone() *RAS {
 	c := &RAS{depth: r.depth, entries: make([]int32, r.depth), top: r.top, count: r.count}

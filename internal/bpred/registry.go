@@ -17,18 +17,6 @@ func (p Params) Get(name string, def int) int {
 	return def
 }
 
-// Clone returns an independent copy (nil stays nil).
-func (p Params) Clone() Params {
-	if p == nil {
-		return nil
-	}
-	q := make(Params, len(p))
-	for k, v := range p {
-		q[k] = v
-	}
-	return q
-}
-
 // Env is the machine context handed to predictor factories. It carries the
 // hooks a predictor may need from the pipeline without coupling the
 // registry to the pipeline package.

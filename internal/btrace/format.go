@@ -192,11 +192,6 @@ func WithSource(source string) WriterOption {
 	return func(w *Writer) { w.header.Source = source }
 }
 
-// WithCountHint records the expected record count in the header.
-func WithCountHint(n uint64) WriterOption {
-	return func(w *Writer) { w.header.Count = n }
-}
-
 // NewWriter creates a PBT1 writer over sink. The magic and header frame
 // are emitted lazily on the first write (or on Close for an empty trace).
 func NewWriter(sink io.Writer, opts ...WriterOption) *Writer {
@@ -425,7 +420,7 @@ func (r *Reader) decodeHeader(payload []byte) error {
 
 // Next returns the next record, io.EOF at a clean end of trace, or a
 // *CorruptError describing the damage. After a corruption error the
-// reader stays usable only for Count/Digest of the intact prefix.
+// reader stays usable only for the Digest of the intact prefix.
 func (r *Reader) Next() (Record, error) {
 	for {
 		if r.done {
@@ -486,26 +481,7 @@ func decodeRecord(buf []byte, lastPC uint64) (Record, int, error) {
 	return rec, off, nil
 }
 
-// Count returns the records decoded so far.
-func (r *Reader) Count() uint64 { return r.count }
-
 // Digest returns the content digest of the records decoded so far; after
 // Next has returned io.EOF it is the digest of the whole trace and equals
 // the producing Writer's Digest.
 func (r *Reader) Digest() string { return r.dig.sum() }
-
-// ReadAll drains a reader into memory — a convenience for tests and small
-// traces; production paths should stream via Next.
-func ReadAll(r *Reader) ([]Record, error) {
-	var recs []Record
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return recs, err
-		}
-		recs = append(recs, rec)
-	}
-}

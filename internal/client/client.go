@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -87,13 +86,6 @@ func (e *APIError) Error() string {
 	return msg + ")"
 }
 
-// IsQuarantined reports whether err is the server refusing a request whose
-// signature crashed repeatedly (HTTP 403).
-func IsQuarantined(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Status == http.StatusForbidden
-}
-
 // errText extracts the server's JSON error message, falling back to the
 // HTTP status line for non-JSON bodies.
 func errText(data []byte, fallback string) string {
@@ -122,65 +114,6 @@ func (c *Client) Job(ctx context.Context, id string) (server.Job, error) {
 	var j server.Job
 	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, http.StatusOK, &j)
 	return j, err
-}
-
-// Wait polls until the job leaves the queued/running states (or ctx ends).
-func (c *Client) Wait(ctx context.Context, id string) (server.Job, error) {
-	for {
-		j, err := c.Job(ctx, id)
-		if err != nil {
-			return j, err
-		}
-		if j.State != server.JobQueued && j.State != server.JobRunning {
-			return j, nil
-		}
-		if err := c.sleep(ctx, 100*time.Millisecond); err != nil {
-			return j, err
-		}
-	}
-}
-
-// Result fetches a finished job's rendered result.
-func (c *Client) Result(ctx context.Context, id string) (server.JobResult, error) {
-	var res server.JobResult
-	err := c.do(ctx, http.MethodGet, "/v1/results/"+id, nil, http.StatusOK, &res)
-	return res, err
-}
-
-// Run submits a request and waits for its result.
-func (c *Client) Run(ctx context.Context, req server.JobRequest) (server.JobResult, error) {
-	j, err := c.Submit(ctx, req)
-	if err != nil {
-		return server.JobResult{}, err
-	}
-	j, err = c.Wait(ctx, j.ID)
-	if err != nil {
-		return server.JobResult{}, err
-	}
-	if j.State != server.JobDone {
-		return server.JobResult{}, fmt.Errorf("polyserve: job %s %s: %s", j.ID, j.State, j.Error)
-	}
-	return c.Result(ctx, j.ID)
-}
-
-// Stats fetches the service counters.
-func (c *Client) Stats(ctx context.Context) (server.Snapshot, error) {
-	var snap server.Snapshot
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, http.StatusOK, &snap)
-	return snap, err
-}
-
-// Quarantine fetches the crash-quarantine list.
-func (c *Client) Quarantine(ctx context.Context) ([]server.QuarantineEntry, error) {
-	var entries []server.QuarantineEntry
-	err := c.do(ctx, http.MethodGet, "/v1/quarantine", nil, http.StatusOK, &entries)
-	return entries, err
-}
-
-// Healthz probes the server's liveness endpoint.
-func (c *Client) Healthz(ctx context.Context) error {
-	var body map[string]string
-	return c.do(ctx, http.MethodGet, "/v1/healthz", nil, http.StatusOK, &body)
 }
 
 // do issues one API call with the retry policy and decodes the wanted

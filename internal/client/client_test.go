@@ -84,10 +84,10 @@ func TestExponentialBackoffOn5xx(t *testing.T) {
 			http.Error(w, "boom", http.StatusBadGateway)
 			return
 		}
-		_ = json.NewEncoder(w).Encode(server.Snapshot{})
+		_ = json.NewEncoder(w).Encode(server.Job{ID: "job-000001", State: server.JobDone})
 	}))
 	c.MaxAttempts = 5
-	if _, err := c.Stats(context.Background()); err != nil {
+	if _, err := c.Job(context.Background(), "job-000001"); err != nil {
 		t.Fatal(err)
 	}
 	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 800 * time.Millisecond}
@@ -149,14 +149,11 @@ func TestClientErrorsAreNotRetried(t *testing.T) {
 		if calls.Load() != 1 || len(*slept) != 0 {
 			t.Fatalf("status %d: %d calls, %d sleeps — client errors must not retry", tc.status, calls.Load(), len(*slept))
 		}
-		if tc.status == http.StatusForbidden && !IsQuarantined(err) {
-			t.Fatalf("IsQuarantined(%v) = false", err)
-		}
 	}
 }
 
-// TestRunAgainstRealServer drives the full client surface against an
-// actual polyserve instance: submit, wait, result, stats, quarantine.
+// TestRunAgainstRealServer drives the calls polyload makes against an
+// actual polyserve instance: submit a job, then poll it until it is done.
 func TestRunAgainstRealServer(t *testing.T) {
 	srv, err := server.New(server.Config{CacheCells: 16, Log: testLogger(t)})
 	if err != nil {
@@ -169,10 +166,7 @@ func TestRunAgainstRealServer(t *testing.T) {
 	c := New(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := c.Healthz(ctx); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(ctx, server.JobRequest{
+	j, err := c.Submit(ctx, server.JobRequest{
 		Configs:    []server.ConfigEntry{{Name: "mono", Model: "monopath"}},
 		Benchmarks: []string{"compress"},
 		Insts:      10000,
@@ -180,21 +174,16 @@ func TestRunAgainstRealServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Text, "compress") || res.Cells != 1 {
-		t.Fatalf("result: cells=%d text:\n%s", res.Cells, res.Text)
+	for j.State == server.JobQueued || j.State == server.JobRunning {
+		time.Sleep(10 * time.Millisecond)
+		if j, err = c.Job(ctx, j.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
-	snap, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if j.State != server.JobDone {
+		t.Fatalf("job ended %s (%s), want done", j.State, j.Error)
 	}
-	if snap.JobsCompleted != 1 {
-		t.Fatalf("stats: %+v", snap)
-	}
-	entries, err := c.Quarantine(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Fatalf("quarantine list should be empty: %+v", entries)
+	if done, _ := srv.Job(j.ID); !strings.Contains(done.Result.Text, "compress") || done.Result.Cells != 1 {
+		t.Fatalf("result: cells=%d text:\n%s", done.Result.Cells, done.Result.Text)
 	}
 }

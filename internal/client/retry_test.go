@@ -72,7 +72,7 @@ func TestRetriesMidBodyHang(t *testing.T) {
 			// Headers and half a JSON body, then hang until the client
 			// abandons the attempt.
 			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write([]byte(`{"jobs_sub`))
+			_, _ = w.Write([]byte(`{"id":"job-`))
 			w.(http.Flusher).Flush()
 			<-r.Context().Done()
 			return
@@ -83,8 +83,8 @@ func TestRetriesMidBodyHang(t *testing.T) {
 	c.AttemptTimeout = 50 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := c.Stats(ctx); err != nil {
-		t.Fatalf("Stats should survive a mid-body hang via retry, got %v", err)
+	if _, err := c.Job(ctx, "job-000001"); err != nil {
+		t.Fatalf("Job should survive a mid-body hang via retry, got %v", err)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("server saw %d attempts, want 2 (hang, then retry)", got)
@@ -109,7 +109,7 @@ func TestLogfReceivesRetryDetail(t *testing.T) {
 	c.Logf = func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
-	if _, err := c.Stats(context.Background()); err != nil {
+	if _, err := c.Job(context.Background(), "job-000001"); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) != 1 {

@@ -97,13 +97,6 @@ func (c *Client) HeartbeatWorker(ctx context.Context, id string) (server.WorkerL
 	return lease, err
 }
 
-// Workers fetches the coordinator's fleet membership table.
-func (c *Client) Workers(ctx context.Context) (server.FleetStatus, error) {
-	var st server.FleetStatus
-	err := c.do(ctx, http.MethodGet, "/v1/workers", nil, http.StatusOK, &st)
-	return st, err
-}
-
 // Attachment keeps one worker registered with its coordinator: register,
 // then heartbeat at a fraction of the granted lease, re-registering
 // whenever the coordinator forgets us (its restart) or becomes

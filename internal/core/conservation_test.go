@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/isa"
@@ -26,7 +27,7 @@ func TestConservationLaws(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(prog, cfg)
+			res, err := RunCell(context.Background(), prog, cfg, nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, model, err)
 			}

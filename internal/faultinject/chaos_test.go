@@ -1,17 +1,48 @@
+// Package faultinject holds the end-to-end chaos tests: they drive the
+// pipeline's fault hooks (Machine.SetFaultHook and Machine.InjectFault) on
+// the 30k-instruction compress stand-in under per-cycle auditing, from
+// explicit and from seeded fault plans. The package has no non-test code.
 package faultinject
 
 import (
-	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
+	"math/rand"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
-func chaosMachine(t *testing.T) *pipeline.Machine {
+var kinds = []pipeline.Fault{
+	pipeline.FaultRenameBitFlip,
+	pipeline.FaultRenameMapFlip,
+	pipeline.FaultDropWakeup,
+	pipeline.FaultFreeListFlip,
+	pipeline.FaultCtxTagFlip,
+}
+
+// plan describes one scheduled micro-architectural fault.
+type plan struct {
+	kind pipeline.Fault
+	// afterCycle is the first cycle at which injection is attempted.
+	afterCycle uint64
+	// arg seeds victim selection inside pipeline.InjectFault.
+	arg uint64
+}
+
+// seededPlan derives the fault kind, the cycle window and the
+// victim-selection argument from seed.
+func seededPlan(seed int64) plan {
+	rng := rand.New(rand.NewSource(seed))
+	return plan{
+		kind:       kinds[rng.Intn(len(kinds))],
+		afterCycle: uint64(20 + rng.Intn(200)),
+		arg:        rng.Uint64(),
+	}
+}
+
+func compress(t *testing.T) *isa.Program {
 	t.Helper()
 	b, err := workload.ByName("compress", 30_000)
 	if err != nil {
@@ -21,13 +52,29 @@ func chaosMachine(t *testing.T) *pipeline.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+// runChaos runs prog under per-cycle auditing with p attempted every cycle
+// from p.afterCycle on, and reports whether the fault landed. A landed
+// fault is normally detected the same cycle, but a victim can be squashed
+// between injection and the end-of-cycle sweep — a benign landing — so
+// injection repeats until the machine check stops the run.
+func runChaos(t *testing.T, prog *isa.Program, p plan) (landed bool, err error) {
+	t.Helper()
 	cfg := pipeline.DefaultConfig()
 	cfg.Audit = pipeline.AuditCycle
 	m, err := pipeline.New(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m
+	m.SetFaultHook(func(cycle uint64) {
+		if cycle >= p.afterCycle && m.InjectFault(p.kind, p.arg+cycle) {
+			landed = true
+		}
+	})
+	err = m.Run()
+	return landed, err
 }
 
 // TestEveryFaultKindIsContained is the core chaos contract: each
@@ -35,20 +82,11 @@ func chaosMachine(t *testing.T) *pipeline.Machine {
 // per-cycle auditing, must surface as a typed *pipeline.MachineCheckError —
 // never an uncontained panic, never a silent completion.
 func TestEveryFaultKindIsContained(t *testing.T) {
-	kinds := []pipeline.Fault{
-		pipeline.FaultRenameBitFlip,
-		pipeline.FaultRenameMapFlip,
-		pipeline.FaultDropWakeup,
-		pipeline.FaultFreeListFlip,
-		pipeline.FaultCtxTagFlip,
-	}
+	prog := compress(t)
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			m := chaosMachine(t)
-			in := NewPlannedInjector(Plan{Kind: kind, AfterCycle: 100, Arg: 0x9e3779b97f4a7c15})
-			in.Arm(m)
-			err := m.Run()
-			if !in.Injected() {
+			landed, err := runChaos(t, prog, plan{kind: kind, afterCycle: 100, arg: 0x9e3779b97f4a7c15})
+			if !landed {
 				t.Fatalf("%s: fault never landed", kind)
 			}
 			var mce *pipeline.MachineCheckError
@@ -66,19 +104,14 @@ func TestEveryFaultKindIsContained(t *testing.T) {
 // every landed fault to be contained as a machine check and (b) the same
 // seed to reproduce the identical failure — check name, cycle and detail.
 func TestSeededInjectorsDeterministic(t *testing.T) {
+	prog := compress(t)
 	for seed := int64(1); seed <= 8; seed++ {
-		run := func() (Plan, bool, error) {
-			m := chaosMachine(t)
-			in := NewInjector(seed)
-			in.Arm(m)
-			err := m.Run()
-			return in.Plan(), in.Injected(), err
+		p := seededPlan(seed)
+		if again := seededPlan(seed); again != p {
+			t.Fatalf("seed %d: plans differ: %+v vs %+v", seed, p, again)
 		}
-		plan1, landed1, err1 := run()
-		plan2, landed2, err2 := run()
-		if plan1 != plan2 {
-			t.Fatalf("seed %d: plans differ: %+v vs %+v", seed, plan1, plan2)
-		}
+		landed1, err1 := runChaos(t, prog, p)
+		landed2, err2 := runChaos(t, prog, p)
 		if landed1 != landed2 {
 			t.Fatalf("seed %d: landed %v vs %v", seed, landed1, landed2)
 		}
@@ -93,63 +126,5 @@ func TestSeededInjectorsDeterministic(t *testing.T) {
 			t.Fatalf("seed %d not reproducible: [%s c%d %q] vs [%s c%d %q]",
 				seed, mce1.Check, mce1.Cycle, mce1.Detail, mce2.Check, mce2.Cycle, mce2.Detail)
 		}
-	}
-}
-
-func TestTornWriter(t *testing.T) {
-	var buf bytes.Buffer
-	tw := &TornWriter{W: &buf, Limit: 10}
-	if n, err := tw.Write([]byte("01234")); n != 5 || err != nil {
-		t.Fatalf("pre-tear write: n=%d err=%v", n, err)
-	}
-	n, err := tw.Write([]byte("56789abcdef"))
-	if n != 5 || !errors.Is(err, ErrInjected) {
-		t.Fatalf("tearing write: n=%d err=%v", n, err)
-	}
-	if !tw.Torn() {
-		t.Fatal("writer not torn after crossing limit")
-	}
-	if _, err := tw.Write([]byte("x")); !errors.Is(err, ErrInjected) {
-		t.Fatal("post-tear write succeeded")
-	}
-	if got := buf.String(); got != "0123456789" {
-		t.Fatalf("wrote %q through a 10-byte tear", got)
-	}
-}
-
-func TestFlakyWriter(t *testing.T) {
-	var buf bytes.Buffer
-	fw := &FlakyWriter{W: &buf, Failures: 2}
-	for i := 0; i < 2; i++ {
-		if _, err := fw.Write([]byte("x")); !errors.Is(err, ErrInjected) {
-			t.Fatalf("attempt %d should fail", i+1)
-		}
-	}
-	if n, err := fw.Write([]byte("ok")); n != 2 || err != nil {
-		t.Fatalf("healed write: n=%d err=%v", n, err)
-	}
-	if buf.String() != "ok" || fw.Attempts() != 3 {
-		t.Fatalf("buf=%q attempts=%d", buf.String(), fw.Attempts())
-	}
-}
-
-func TestFileMutilators(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal")
-	if err := os.WriteFile(path, []byte("hello world"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := TruncateFile(path, 5); err != nil {
-		t.Fatal(err)
-	}
-	b, _ := os.ReadFile(path)
-	if string(b) != "hello" {
-		t.Fatalf("truncated to %q", b)
-	}
-	if err := FlipBit(path, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	b, _ = os.ReadFile(path)
-	if b[0] != 'h'^1 {
-		t.Fatalf("bit not flipped: %q", b)
 	}
 }

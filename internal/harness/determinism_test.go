@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -72,11 +73,11 @@ func TestRepeatedSimulationIsBitIdentical(t *testing.T) {
 		{"monopath", core.ConfigMonopath()},
 		{"see", core.ConfigSEE()},
 	} {
-		r1, err := core.Run(prog, cfg.cfg)
+		r1, err := core.RunCell(context.Background(), prog, cfg.cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: first run: %v", cfg.name, err)
 		}
-		r2, err := core.Run(prog, cfg.cfg)
+		r2, err := core.RunCell(context.Background(), prog, cfg.cfg, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: second run: %v", cfg.name, err)
 		}

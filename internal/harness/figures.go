@@ -152,7 +152,7 @@ func Figure8(opts Options) (*Fig8Result, error) {
 // Render formats Figure 8 and its companion analysis.
 func (f *Fig8Result) Render() string {
 	var b strings.Builder
-	b.WriteString(renderIPCTable("Figure 8: baseline architecture performance (IPC)", f.Matrix))
+	b.WriteString(RenderTable("Figure 8: baseline architecture performance (IPC)", f.Matrix))
 	b.WriteString("\nSec 5.1/5.2 companion metrics (gshare/JRS vs monopath):\n")
 	fmt.Fprintf(&b, "%-10s %8s %9s %9s %9s %9s %8s %9s %9s\n",
 		"benchmark", "PVN", "dIPC:JRS", "dIPC:oCE", "dIPC:oBP", "avgpaths", "<=3path", "useless", "fetch/ci")
@@ -223,8 +223,17 @@ func (s *SweepResult) Render() string {
 	return b.String()
 }
 
-// sweepConfigs are the four configurations plotted in Figures 9-12.
-func sweepConfigs(mutate func(*core.Config)) []NamedConfig {
+// sweepStep is one x-position of a sweep before it runs: its label, its x
+// value and the configurations simulated there.
+type sweepStep struct {
+	label string
+	x     float64
+	cells []NamedConfig
+}
+
+// sweepConfigs are the four configurations plotted in Figures 9-12, each
+// with opt applied.
+func sweepConfigs(opt pipeline.Option) []NamedConfig {
 	ncs := []NamedConfig{
 		{Name: "oracle", Cfg: core.ConfigOracleBP()},
 		{Name: "gshare/monopath", Cfg: core.ConfigMonopath()},
@@ -232,31 +241,27 @@ func sweepConfigs(mutate func(*core.Config)) []NamedConfig {
 		{Name: "gshare/JRS", Cfg: core.ConfigSEE()},
 	}
 	for i := range ncs {
-		mutate(&ncs[i].Cfg)
+		opt(&ncs[i].Cfg)
 	}
 	return ncs
 }
 
-func runSweep(opts Options, title, xlabel string, points []struct {
-	label  string
-	x      float64
-	mutate func(*core.Config)
-}) (*SweepResult, error) {
-	res := &SweepResult{
-		Title:  title,
-		XLabel: xlabel,
-		Configs: []string{
-			"oracle", "gshare/monopath", "gshare/oracle", "gshare/JRS",
-		},
+// runSweep simulates every step and collects the harmonic-mean IPC (and
+// the per-benchmark IPC behind it) of each configuration, in the order
+// the steps list them.
+func runSweep(opts Options, title, xlabel string, steps []sweepStep) (*SweepResult, error) {
+	res := &SweepResult{Title: title, XLabel: xlabel}
+	for _, nc := range steps[0].cells {
+		res.Configs = append(res.Configs, nc.Name)
 	}
-	for _, pt := range points {
-		mat, err := runMatrix(opts, sweepConfigs(pt.mutate))
+	for _, st := range steps {
+		mat, err := runMatrix(opts, st.cells)
 		if err != nil {
 			return nil, err
 		}
 		sp := SweepPoint{
-			Label:    pt.label,
-			X:        pt.x,
+			Label:    st.label,
+			X:        st.x,
 			IPC:      make(map[string]float64),
 			PerBench: make(map[string]map[string]float64),
 		}
@@ -279,29 +284,17 @@ func runSweep(opts Options, title, xlabel string, points []struct {
 // around its 14-bit baseline; this reproduction sweeps the same span
 // around its scaled 11-bit baseline (see DESIGN.md).
 func Figure9(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var steps []sweepStep
 	for _, bits := range []int{8, 9, 10, 11, 12, 13, 14} {
-		bits := bits
 		pred := 1 << uint(bits) / 4 // 2-bit counters
 		conf := 1 << uint(bits) / 8 // 1-bit counters
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
+		steps = append(steps, sweepStep{
 			label: fmt.Sprintf("%d bits (%d B)", bits, pred+conf),
 			x:     float64(pred + conf),
-			mutate: func(c *core.Config) {
-				c.Predictor = c.Predictor.WithParam("hist_bits", bits)
-				c.Confidence.IndexBits = bits
-			},
+			cells: sweepConfigs(pipeline.WithHistoryBits(bits)),
 		})
 	}
-	return runSweep(opts, "Figure 9: branch predictor size (harmonic mean IPC)", "predictor state", points)
+	return runSweep(opts, "Figure 9: branch predictor size (harmonic mean IPC)", "predictor state", steps)
 }
 
 // Figure9TAGE is the equal-area companion to Figure 9: at every storage
@@ -311,24 +304,15 @@ func Figure9(opts Options) (*SweepResult, error) {
 // both the monopath baseline and the SEE machine with the JRS estimator.
 // The x axis is total predictor + confidence state, as in Figure 9.
 func Figure9TAGE(opts Options) (*SweepResult, error) {
-	res := &SweepResult{
-		Title:  "Figure 9-TAGE: equal-area predictor comparison (harmonic mean IPC)",
-		XLabel: "predictor state",
-		Configs: []string{
-			"gshare/monopath", "tage/monopath", "gshare/JRS", "tage/JRS",
-		},
-	}
+	var steps []sweepStep
 	for _, bits := range []int{8, 9, 10, 11, 12, 13, 14} {
 		predBytes, err := bpred.StateBytes("gshare", bpred.Params{"hist_bits": bits})
 		if err != nil {
 			return nil, err
 		}
-		tageParams := map[string]int(bpred.TageIsoParams(bits))
 		confBytes := 1 << uint(bits) / 8 // 1-bit JRS counters
-		gshare := func(c *core.Config) {
-			c.Predictor = c.Predictor.WithParam("hist_bits", bits)
-			c.Confidence.IndexBits = bits
-		}
+		tageParams := map[string]int(bpred.TageIsoParams(bits))
+		gshare := pipeline.WithHistoryBits(bits)
 		tage := func(c *core.Config) {
 			c.Predictor = pipeline.PredictorSpec{Kind: pipeline.PredTage, Params: tageParams}
 			c.Confidence.IndexBits = bits
@@ -344,107 +328,42 @@ func Figure9TAGE(opts Options) (*SweepResult, error) {
 		tage(&cells[1].Cfg)
 		gshare(&cells[2].Cfg)
 		tage(&cells[3].Cfg)
-		mat, err := runMatrix(opts, cells)
-		if err != nil {
-			return nil, err
-		}
-		sp := SweepPoint{
-			Label:    fmt.Sprintf("%d bits (%d B)", bits, predBytes+confBytes),
-			X:        float64(predBytes + confBytes),
-			IPC:      make(map[string]float64),
-			PerBench: make(map[string]map[string]float64),
-		}
-		for _, c := range res.Configs {
-			sp.IPC[c] = mat.HarmonicMean(c)
-			row := make(map[string]float64, len(mat.Benchmarks))
-			for _, b := range mat.Benchmarks {
-				row[b] = mat.IPC(b, c)
-			}
-			sp.PerBench[c] = row
-		}
-		res.Points = append(res.Points, sp)
+		steps = append(steps, sweepStep{
+			label: fmt.Sprintf("%d bits (%d B)", bits, predBytes+confBytes),
+			x:     float64(predBytes + confBytes),
+			cells: cells,
+		})
 	}
-	return res, nil
+	return runSweep(opts, "Figure 9-TAGE: equal-area predictor comparison (harmonic mean IPC)", "predictor state", steps)
 }
 
 // Figure10 reproduces the instruction-window-size study (64-1024 entries).
 func Figure10(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var steps []sweepStep
 	for _, w := range []int{64, 128, 256, 512, 1024} {
-		w := w
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
-			label: fmt.Sprintf("%d entries", w),
-			x:     float64(w),
-			mutate: func(c *core.Config) {
-				c.WindowSize = w
-				c.PhysRegs = 0    // re-derive
-				c.Checkpoints = 0 // re-derive
-			},
-		})
+		steps = append(steps, sweepStep{label: fmt.Sprintf("%d entries", w), x: float64(w), cells: sweepConfigs(pipeline.WithWindowSize(w))})
 	}
-	return runSweep(opts, "Figure 10: instruction window size (harmonic mean IPC)", "window entries", points)
+	return runSweep(opts, "Figure 10: instruction window size (harmonic mean IPC)", "window entries", steps)
 }
 
 // Figure11 reproduces the functional-unit-configuration study: 1-4 units
 // of each type (and memory ports), scaled uniformly as in the paper.
 func Figure11(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var steps []sweepStep
 	for _, n := range []int{1, 2, 3, 4} {
-		n := n
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
-			label: fmt.Sprintf("%d of each", n),
-			x:     float64(n),
-			mutate: func(c *core.Config) {
-				c.NumIntType0 = n
-				c.NumIntType1 = n
-				c.NumFPAdd = n
-				c.NumFPMul = n
-				c.NumMemPorts = n
-			},
-		})
+		steps = append(steps, sweepStep{label: fmt.Sprintf("%d of each", n), x: float64(n), cells: sweepConfigs(pipeline.WithUniformUnits(n))})
 	}
-	return runSweep(opts, "Figure 11: functional unit configuration (harmonic mean IPC)", "units per type", points)
+	return runSweep(opts, "Figure 11: functional unit configuration (harmonic mean IPC)", "units per type", steps)
 }
 
 // Figure12 reproduces the pipeline-depth study: total depths 6-10, varied
 // through the in-order front end as in the paper.
 func Figure12(opts Options) (*SweepResult, error) {
-	var points []struct {
-		label  string
-		x      float64
-		mutate func(*core.Config)
-	}
+	var steps []sweepStep
 	for _, depth := range []int{6, 7, 8, 9, 10} {
-		depth := depth
-		points = append(points, struct {
-			label  string
-			x      float64
-			mutate func(*core.Config)
-		}{
-			label: fmt.Sprintf("%d stages", depth),
-			x:     float64(depth),
-			mutate: func(c *core.Config) {
-				c.FrontEndStages = depth - 3
-			},
-		})
+		steps = append(steps, sweepStep{label: fmt.Sprintf("%d stages", depth), x: float64(depth), cells: sweepConfigs(pipeline.WithPipelineDepth(depth))})
 	}
-	return runSweep(opts, "Figure 12: pipeline depth (harmonic mean IPC)", "pipeline stages", points)
+	return runSweep(opts, "Figure 12: pipeline depth (harmonic mean IPC)", "pipeline stages", steps)
 }
 
 // PathHistogram reports the live-path-count distribution for the SEE

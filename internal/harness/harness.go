@@ -489,7 +489,7 @@ func runMatrix(opts Options, configs []NamedConfig) (*Matrix, error) {
 		Context:       ctx,
 		ContainPanics: true,
 		Observer:      opts.Observer,
-	}, tasks, nil)
+	}, tasks)
 	if runErr != nil {
 		// Task errors already carry the cell identity (the sim path wraps
 		// with bench/config, a contained panic is a *sched.PanicError
@@ -550,15 +550,11 @@ func RunConfigs(opts Options, configs []NamedConfig) (*Matrix, error) {
 	return runMatrix(opts, configs)
 }
 
-// RenderTable renders a matrix as the fixed-width IPC table used by
-// cmd/experiments, so service responses and CLI output are byte-identical.
+// RenderTable renders a matrix as the fixed-width benchmark x
+// configuration IPC table with a harmonic-mean row, in the paper's
+// presentation style. cmd/experiments and polyserve both use it, so
+// service responses and CLI output are byte-identical.
 func RenderTable(title string, m *Matrix) string {
-	return renderIPCTable(title, m)
-}
-
-// renderIPCTable renders a benchmark x configuration IPC grid with a
-// harmonic-mean row, in the paper's presentation style.
-func renderIPCTable(title string, m *Matrix) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-10s", "benchmark")

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/isa"
 	"repro/internal/isa/progfuzz"
+	"repro/internal/workload"
 )
 
 // auditConfigs returns machine variants that exercise every major
@@ -126,39 +128,65 @@ func TestAuditLevelsBitIdentical(t *testing.T) {
 // TestInjectedFaultsYieldMachineChecks injects each micro-architectural
 // fault kind into a running machine under per-cycle auditing and requires a
 // typed *MachineCheckError — never a process-killing panic, never a
-// silently wrong result.
+// silently wrong result. It does so on a small loop and on the 30k-
+// instruction compress stand-in, each twice: the same fault must
+// reproduce the same check, cycle and detail.
 func TestInjectedFaultsYieldMachineChecks(t *testing.T) {
+	bm, err := workload.ByName("compress", 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compress, err := workload.Generate(bm.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*isa.Program{sumProgram(400), compress}
 	kinds := []Fault{FaultRenameBitFlip, FaultRenameMapFlip, FaultDropWakeup, FaultFreeListFlip, FaultCtxTagFlip}
 	for _, kind := range kinds {
 		t.Run(kind.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Audit = AuditCycle
-			m, err := New(sumProgram(400), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			injected := false
-			m.SetFaultHook(func(cycle uint64) {
-				if !injected && cycle >= 50 {
-					injected = m.InjectFault(kind, cycle*2654435761)
+			for _, prog := range progs {
+				first := injectFault(t, prog, kind)
+				again := injectFault(t, prog, kind)
+				if first.Check != again.Check || first.Cycle != again.Cycle || first.Detail != again.Detail {
+					t.Fatalf("%s on %s not reproducible: [%s c%d %q] vs [%s c%d %q]", kind, prog.Name,
+						first.Check, first.Cycle, first.Detail, again.Check, again.Cycle, again.Detail)
 				}
-			})
-			err = m.Run()
-			if !injected {
-				t.Fatalf("fault %s never found an injection victim", kind)
-			}
-			var mce *MachineCheckError
-			if !errors.As(err, &mce) {
-				t.Fatalf("fault %s: want *MachineCheckError, got %v", kind, err)
-			}
-			if mce.Cycle == 0 || mce.Snapshot.Cycle == 0 {
-				t.Fatalf("fault %s: machine check missing cycle context: %+v", kind, mce)
-			}
-			if mce.Check == "" || mce.Detail == "" {
-				t.Fatalf("fault %s: machine check missing check/detail: %+v", kind, mce)
 			}
 		})
 	}
+}
+
+// injectFault runs prog under per-cycle auditing with kind injected from
+// cycle 50 on and returns the machine check the fault raised.
+func injectFault(t *testing.T, prog *isa.Program, kind Fault) *MachineCheckError {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Audit = AuditCycle
+	m, err := New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := false
+	m.SetFaultHook(func(cycle uint64) {
+		if !injected && cycle >= 50 {
+			injected = m.InjectFault(kind, cycle*2654435761)
+		}
+	})
+	err = m.Run()
+	if !injected {
+		t.Fatalf("fault %s on %s never found an injection victim", kind, prog.Name)
+	}
+	var mce *MachineCheckError
+	if !errors.As(err, &mce) {
+		t.Fatalf("fault %s on %s: want *MachineCheckError, got %v", kind, prog.Name, err)
+	}
+	if mce.Cycle == 0 || mce.Snapshot.Cycle == 0 {
+		t.Fatalf("fault %s on %s: machine check missing cycle context: %+v", kind, prog.Name, mce)
+	}
+	if mce.Check == "" || mce.Detail == "" {
+		t.Fatalf("fault %s on %s: machine check missing check/detail: %+v", kind, prog.Name, mce)
+	}
+	return mce
 }
 
 // TestForeignPanicContained verifies that an arbitrary panic on the cycle

@@ -70,7 +70,7 @@ func registerToy(t *testing.T) {
 func TestRuntimeRegisteredPredictorRunsEndToEnd(t *testing.T) {
 	registerToy(t)
 
-	cfg, err := NewConfig(func(c *Config) {
+	cfg, err := NewConfigFrom(DefaultConfig(), func(c *Config) {
 		c.Predictor = PredictorSpec{Kind: "toy-majority", Params: map[string]int{"stride": 4}}
 	})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestRuntimeRegisteredPredictorRunsEndToEnd(t *testing.T) {
 // kinds exactly as to built-ins.
 func TestRuntimeKindParamValidation(t *testing.T) {
 	registerToy(t)
-	_, err := NewConfig(func(c *Config) {
+	_, err := NewConfigFrom(DefaultConfig(), func(c *Config) {
 		c.Predictor = PredictorSpec{Kind: "toy-majority", Params: map[string]int{"stride": 100}}
 	})
 	requireConfigError(t, err, "Predictor.stride")

@@ -2,8 +2,8 @@ package pipeline
 
 import "repro/internal/rename"
 
-// fault.go exposes the deterministic fault-injection surface used by
-// internal/faultinject: a per-cycle hook plus primitives that corrupt one
+// fault.go exposes the deterministic fault-injection surface the chaos
+// tests drive: a per-cycle hook plus primitives that corrupt one
 // piece of micro-architectural state the way a hardware fault would (a bit
 // flip in a rename structure, a lost wakeup broadcast, a corrupted CTX
 // tag). The hooks are always compiled in — no build tags — and cost one nil

@@ -24,15 +24,10 @@ func cfgErr(field, format string, args ...any) *ConfigError {
 // right; validation happens once, after all options are applied.
 type Option func(*Config)
 
-// NewConfig builds a validated configuration starting from the paper's
-// baseline (DefaultConfig) and applying the given options. It returns a
+// NewConfigFrom builds a validated configuration starting from base (the
+// paper's DefaultConfig, or one of the named model configurations in
+// internal/core) and applying the given options. It returns a
 // *ConfigError if the resulting machine is invalid.
-func NewConfig(opts ...Option) (Config, error) {
-	return NewConfigFrom(DefaultConfig(), opts...)
-}
-
-// NewConfigFrom builds a validated configuration starting from an explicit
-// base (e.g. one of the named model configurations in internal/core).
 func NewConfigFrom(base Config, opts ...Option) (Config, error) {
 	for _, opt := range opts {
 		opt(&base)

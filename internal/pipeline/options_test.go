@@ -9,17 +9,17 @@ import (
 )
 
 func TestNewConfigDefaultsAreValid(t *testing.T) {
-	cfg, err := NewConfig()
+	cfg, err := NewConfigFrom(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(cfg, DefaultConfig()) {
-		t.Error("NewConfig() without options must equal DefaultConfig()")
+		t.Error("NewConfigFrom(DefaultConfig()) without options must equal DefaultConfig()")
 	}
 }
 
 func TestNewConfigOptionsCompose(t *testing.T) {
-	cfg, err := NewConfig(
+	cfg, err := NewConfigFrom(DefaultConfig(),
 		func(c *Config) { c.Mode = Monopath },
 		WithWindowSize(128),
 		WithPipelineDepth(10),
@@ -58,21 +58,21 @@ func requireConfigError(t *testing.T, err error, field string) {
 }
 
 func TestValidateZeroWidthMachine(t *testing.T) {
-	_, err := NewConfig(func(c *Config) { c.FetchWidth = 0 })
+	_, err := NewConfigFrom(DefaultConfig(), func(c *Config) { c.FetchWidth = 0 })
 	requireConfigError(t, err, "FetchWidth")
 }
 
 func TestValidateTagCountExceedsCapacity(t *testing.T) {
 	// More CTX-tag history positions than the tag encoding can hold.
-	_, err := NewConfig(func(c *Config) { c.CtxHistoryWidth = 33 })
+	_, err := NewConfigFrom(DefaultConfig(), func(c *Config) { c.CtxHistoryWidth = 33 })
 	requireConfigError(t, err, "CtxHistoryWidth")
 	// More CTX-table entries than the path-table bound.
-	_, err = NewConfig(func(c *Config) { c.MaxPaths = 4096 })
+	_, err = NewConfigFrom(DefaultConfig(), func(c *Config) { c.MaxPaths = 4096 })
 	requireConfigError(t, err, "MaxPaths")
 }
 
 func TestValidateOraclePredictorAdaptiveConfidence(t *testing.T) {
-	_, err := NewConfig(
+	_, err := NewConfigFrom(DefaultConfig(),
 		func(c *Config) { c.Predictor = PredictorSpec{Kind: PredOracle} },
 		func(c *Config) { c.Confidence.Kind = ConfAdaptive },
 	)
@@ -104,7 +104,7 @@ func TestValidateRejectsConstructorPanicRanges(t *testing.T) {
 		{"WindowSize", func(c *Config) { c.WindowSize = 2 }},
 	}
 	for _, tc := range cases {
-		_, err := NewConfig(tc.opt)
+		_, err := NewConfigFrom(DefaultConfig(), tc.opt)
 		requireConfigError(t, err, tc.field)
 	}
 }

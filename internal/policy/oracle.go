@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/registry"
 )
@@ -85,16 +84,6 @@ func oracleSchedule(s Spec) []int {
 		sched[i] = s.Param(fmt.Sprintf("s%d", i), 0)
 	}
 	return sched
-}
-
-// ScheduleString renders an oracle schedule compactly for tables and logs
-// (e.g. "0,0,1,1,0").
-func ScheduleString(sched []int) string {
-	parts := make([]string, len(sched))
-	for i, s := range sched {
-		parts[i] = fmt.Sprintf("%d", s)
-	}
-	return strings.Join(parts, ",")
 }
 
 func init() {

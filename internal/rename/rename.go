@@ -153,7 +153,7 @@ func (fl *FreeList) AuditConsistency() error {
 
 // FlipInUse toggles the allocation bit of physical register p without
 // touching the free stack, desynchronizing the two structures. It exists
-// for deterministic fault injection (internal/faultinject) and must never
+// for deterministic fault injection (pipeline's InjectFault) and must never
 // be called on a machine whose results matter.
 func (fl *FreeList) FlipInUse(p PhysReg) {
 	if int(p) < fl.total {

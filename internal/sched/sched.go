@@ -2,19 +2,18 @@
 // the experiment harness, the polysim comparison mode, and polyserve's
 // /v1/sweeps endpoint.
 //
-// A run shards a fixed list of tasks — experiment cells, workload
-// generations, anything shaped func(*TaskContext) (T, error) — across a
-// bounded pool of workers and merges the outcomes positionally, so the
-// result slice is ordered by submission regardless of which shard
+// A run shards a fixed list of tasks — experiment cells, benchmark
+// characterizations, anything shaped func(*TaskContext) (T, error) —
+// across a bounded pool of workers and merges the outcomes positionally,
+// so the result slice is ordered by submission regardless of which shard
 // finished first. Determinism is a design contract, not an accident:
 //
 //   - Results are merged order-preservingly: Run's result slice is
 //     aligned index-for-index with the task slice.
 //   - Error selection is by task order, not completion order: the run's
 //     error is the failed task with the lowest index, every time.
-//   - Each task gets a private *rand.Rand seeded from (Options.Seed,
-//     Task.ID) only. Worker count, shard assignment and completion order
-//     cannot leak into anything a task derives from its TaskContext.
+//   - A task sees only its context and its shard, and nothing
+//     result-bearing may depend on the shard.
 //
 // Consequently a sweep run with Workers: 1 is bit-identical to the same
 // sweep with Workers: N — the property the harness's rendered tables rely
@@ -24,8 +23,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -34,8 +31,7 @@ import (
 )
 
 // Task is one schedulable unit of work. ID must be stable across runs
-// (e.g. "gcc/see/r0"): it names the task in errors and observer events,
-// and seeds the task's private rand state.
+// (e.g. "gcc/see/r0"): it names the task in errors and observer events.
 type Task[T any] struct {
 	ID  string
 	Run func(tc *TaskContext) (T, error)
@@ -46,22 +42,13 @@ type TaskContext struct {
 	// Context is the run's context; tasks should thread it into
 	// cancellable work (the harness passes it down to the cycle loop).
 	Context context.Context
-	// Rand is private to this task, seeded from (Options.Seed, task ID)
-	// alone — identical across runs no matter how many workers execute
-	// the schedule or in what order shards finish.
-	Rand *rand.Rand
-	// ID is the task's stable identity.
-	ID string
-	// Index is the task's position in the submitted slice.
-	Index int
 	// Shard is the worker executing this task, in [0, Workers). The same
 	// task may land on different shards across runs; nothing
 	// result-bearing may depend on it (it exists for observability).
 	Shard int
 }
 
-// Result is one task's outcome, reported positionally by Run and
-// incrementally through the OnDone stream.
+// Result is one task's outcome, reported positionally by Run.
 type Result[T any] struct {
 	ID      string
 	Index   int
@@ -90,9 +77,6 @@ type Options struct {
 	// Context cancels the run: in-flight tasks see it through their
 	// TaskContext, tasks not yet started fail with the context's error.
 	Context context.Context
-	// Seed is the base of every task's private rand state (the task ID is
-	// mixed in). Zero is a valid seed.
-	Seed int64
 	// ContainPanics converts a panicking task into a *PanicError result
 	// instead of crashing the process.
 	ContainPanics bool
@@ -125,32 +109,12 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sched: task %s panicked: %v", e.Task, e.Value)
 }
 
-// TaskSeed derives the private rand seed of a task: a 64-bit FNV-1a hash
-// of the task ID mixed with the base seed through a splitmix64 finalizer.
-// It depends on nothing but (base, id), which is what makes per-task rand
-// state reproducible under any worker count.
-func TaskSeed(base int64, id string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	x := uint64(base) ^ h.Sum64()
-	// splitmix64 finalizer: full-avalanche mixing so adjacent IDs and
-	// seeds land far apart.
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return int64(x)
-}
-
 // Run executes tasks on a bounded worker pool and returns the outcomes
 // aligned index-for-index with tasks (the order-preserving merge). The
 // returned error is the lowest-indexed task failure (nil if every task
-// succeeded); per-task errors are also available on the results.
-//
-// onDone, when non-nil, streams each result as it completes, from worker
-// goroutines in completion order; it must be safe for concurrent use.
-// Run itself only returns after every task has finished or been skipped.
-func Run[T any](opts Options, tasks []Task[T], onDone func(Result[T])) ([]Result[T], error) {
+// succeeded); per-task errors are also available on the results. Run
+// returns only after every task has finished or been skipped.
+func Run[T any](opts Options, tasks []Task[T]) ([]Result[T], error) {
 	results := make([]Result[T], len(tasks))
 	if len(tasks) == 0 {
 		return results, nil
@@ -172,9 +136,6 @@ func Run[T any](opts Options, tasks []Task[T], onDone func(Result[T])) ([]Result
 					return
 				}
 				results[i] = runOne(opts, ctx, shard, i, tasks[i])
-				if onDone != nil {
-					onDone(results[i])
-				}
 			}
 		}(shard)
 	}
@@ -207,13 +168,7 @@ func runOne[T any](opts Options, ctx context.Context, shard, index int, t Task[T
 		res.Err = err
 		return res
 	}
-	tc := &TaskContext{
-		Context: ctx,
-		Rand:    rand.New(rand.NewSource(TaskSeed(opts.Seed, t.ID))),
-		ID:      t.ID,
-		Index:   index,
-		Shard:   shard,
-	}
+	tc := &TaskContext{Context: ctx, Shard: shard}
 	if opts.ContainPanics {
 		defer func() {
 			if r := recover(); r != nil {
@@ -234,5 +189,5 @@ func Map[In, Out any](opts Options, items []In, id func(In, int) string, run fun
 		item := item
 		tasks[i] = Task[Out]{ID: id(item, i), Run: func(tc *TaskContext) (Out, error) { return run(tc, item) }}
 	}
-	return Run(opts, tasks, nil)
+	return Run(opts, tasks)
 }

@@ -65,9 +65,6 @@ type CellRequest struct {
 type CellResponse struct {
 	IPC   float64   `json:"ipc"`
 	Stats stats.Sim `json:"stats"`
-	// Cached reports where the result came from: "" (simulated now),
-	// "memo" (worker LRU), or "store" (shared result store).
-	Cached string `json:"cached,omitempty"`
 	// Node is the executing worker's node ID.
 	Node string `json:"node"`
 	// ElapsedMS is the worker-side wall time of this execution.
@@ -232,7 +229,7 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 	if s.memo != nil {
 		if v, ok := s.memo.Get(key); ok {
 			s.svc.CellsFromCache.Add(1)
-			return CellResponse{IPC: v.IPC, Stats: v.Stats, Cached: "memo"}, nil, ""
+			return CellResponse{IPC: v.IPC, Stats: v.Stats}, nil, ""
 		}
 	}
 	if s.store != nil {
@@ -241,7 +238,7 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 				s.memo.Put(key, v)
 			}
 			s.svc.CellsFromCache.Add(1)
-			return CellResponse{IPC: v.IPC, Stats: v.Stats, Cached: "store"}, nil, ""
+			return CellResponse{IPC: v.IPC, Stats: v.Stats}, nil, ""
 		}
 	}
 

@@ -48,25 +48,27 @@ var ErrRetryBudgetExhausted = errors.New("server: dispatch retry budget exhauste
 // cell deadline.
 var ErrNoWorkers = errors.New("server: no live workers")
 
-// tokenBucket is the coordinator-wide retry budget: Burst tokens,
-// refilled continuously at Rate per second. take is non-blocking.
+// retryRefillPerSec is the rate at which the retry budget refills.
+const retryRefillPerSec = 64
+
+// tokenBucket is the coordinator-wide retry budget: burst tokens,
+// refilled continuously at retryRefillPerSec. take is non-blocking.
 type tokenBucket struct {
 	mu     sync.Mutex
 	tokens float64
 	burst  float64
-	rate   float64
 	last   time.Time
 }
 
-func newTokenBucket(burst int, rate float64) *tokenBucket {
-	return &tokenBucket{tokens: float64(burst), burst: float64(burst), rate: rate, last: time.Now()}
+func newTokenBucket(burst int) *tokenBucket {
+	return &tokenBucket{tokens: float64(burst), burst: float64(burst), last: time.Now()}
 }
 
 func (b *tokenBucket) take() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := time.Now()
-	b.tokens += now.Sub(b.last).Seconds() * b.rate
+	b.tokens += now.Sub(b.last).Seconds() * retryRefillPerSec
 	if b.tokens > b.burst {
 		b.tokens = b.burst
 	}

@@ -251,7 +251,7 @@ func TestWALAcceptDoneCycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.journal")
 	mk := func() *Server {
 		return &Server{
-			cfg:  Config{QueueCapacity: 8, JournalPath: path, JournalWAL: true, Log: testLogger(t)}.withDefaults(),
+			cfg:  Config{QueueCapacity: 8, JournalPath: path, Log: testLogger(t)}.withDefaults(),
 			jobs: make(map[string]*Job),
 		}
 	}
@@ -268,7 +268,9 @@ func TestWALAcceptDoneCycle(t *testing.T) {
 	s1.walAppend("accept", jobA)
 	s1.walAppend("accept", jobB)
 	s1.walAppend("done", jobA)
-	s1.walClose()
+	if err := s1.walClose(); err != nil {
+		t.Fatal(err)
+	}
 	s1.sched.drain()
 
 	// "Restart": only jobB is pending.
@@ -293,7 +295,9 @@ func TestWALAcceptDoneCycle(t *testing.T) {
 	if _, ok := s2.Job("job-000001"); ok {
 		t.Fatal("job-000001 (done) must not resume")
 	}
-	s2.walClose()
+	if err := s2.walClose(); err != nil {
+		t.Fatal(err)
+	}
 
 	// The load compacted the file: exactly one record remains.
 	blob, err := os.ReadFile(path)
@@ -342,6 +346,9 @@ func TestJournalTornTailEveryByteBoundary(t *testing.T) {
 		}
 		close(release)
 		s.sched.drain()
+		if err := s.walClose(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 	"time"
 )
 
-// The drain journal is a line-oriented file, one record per still-queued
-// job. Each record is
+// The job journal is a line-oriented write-ahead log. Each record is
 //
 //	<crc32-ieee, 8 lowercase hex digits> <space> <json> <newline>
 //
@@ -34,22 +33,16 @@ import (
 // Journals written before the checksum existed (lines starting with '{')
 // are still accepted, without integrity protection.
 //
-// Two journal modes share this format:
+// An "accept" record is appended the moment a job is admitted and a
+// "done" record when it reaches a terminal state. Pending work is the set
+// of accepts without a matching done, so queued and running jobs survive
+// even an abrupt kill, not just a graceful Drain: on a coordinator, cells
+// already completed are replayed from the result store and the rest
+// re-execute idempotently. At startup the file is compacted back to the
+// pending accepts and reopened for appending.
 //
-//   - Drain journal (the original): records are written only on graceful
-//     Drain, one per still-queued job, and the whole file is consumed and
-//     removed at startup. A SIGKILL loses the queue.
-//   - Write-ahead journal (Config.JournalWAL, the coordinator's mode):
-//     an "accept" record is appended the moment a job is admitted and a
-//     "done" record when it reaches a terminal state. Pending work is
-//     the set of accepts without a matching done, so an in-flight sweep
-//     survives even an abrupt coordinator kill — cells already completed
-//     are replayed from the result store, the rest re-execute
-//     idempotently. At startup the file is compacted back to the pending
-//     accepts and reopened for appending.
-//
-// Records without an "op" field (drain journals, pre-WAL files) read as
-// accepts, so the two modes interoperate across restarts and upgrades.
+// Records without an "op" field (compacted accepts, and the drain-time
+// snapshots older servers wrote) read as accepts.
 
 // journalEntry is the JSON payload of one record: enough to re-enqueue a
 // still-queued job under its original ID after a restart.
@@ -57,8 +50,8 @@ type journalEntry struct {
 	ID        string     `json:"id"`
 	Request   JobRequest `json:"request"`
 	Submitted time.Time  `json:"submitted_at"`
-	// Op is the WAL record type: "accept", "done", or "" (legacy drain
-	// record, treated as accept).
+	// Op is the record type: "accept", "done", or "" (a compacted or
+	// legacy record, treated as accept).
 	Op string `json:"op,omitempty"`
 	// Tenant preserves the fair-queuing bucket across restarts.
 	Tenant string `json:"tenant,omitempty"`
@@ -71,10 +64,10 @@ func appendJournalRecord(dst []byte, payload []byte) []byte {
 	return append(dst, '\n')
 }
 
-// writeJournal persists queued jobs as checksummed records, atomically:
+// writeJournal persists jobs as checksummed accept records, atomically:
 // write to a temp file in the same directory, fsync, then rename, so a
-// crash during Drain leaves either the old journal or the complete new
-// one — never a half-written file under the journal's name.
+// crash during compaction leaves either the old journal or the complete
+// new one — never a half-written file under the journal's name.
 func writeJournal(path string, jobs []*Job) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
 	if err != nil {
@@ -168,12 +161,12 @@ func parseJournalLine(line []byte) ([]byte, error) {
 }
 
 // loadJournal re-enqueues pending jobs from a previous incarnation's
-// journal. In drain mode the file is consumed and removed; in WAL mode
-// it is compacted to the pending accepts and reopened for appending.
-// Damaged content never fails startup: records that are torn, corrupt,
-// longer than maxJournalLine, unparseable, no longer valid under the
-// current server caps, or unsubmittable are dropped with a log line and
-// counted in journal_dropped; each resumed job counts in journal_resumed.
+// journal, after compacting the file to their accepts and reopening it
+// for appending. Damaged content never fails startup: records that are
+// torn, corrupt, longer than maxJournalLine, unparseable, no longer
+// valid under the current server caps, or unsubmittable are dropped with
+// a log line and counted in journal_dropped; each resumed job counts in
+// journal_resumed.
 func (s *Server) loadJournal(path string) (int, error) {
 	drop := func(line int, id string, why error) {
 		s.svc.JournalDropped.Add(1)
@@ -244,8 +237,9 @@ func (s *Server) loadJournal(path string) (int, error) {
 		return 0, err
 	}
 
-	// Pass 2: re-enqueue the pending jobs.
-	n := 0
+	// Pass 2: rebuild the pending jobs that still validate.
+	var jobs []*Job
+	var lines []int
 	for _, p := range pending {
 		if p.entry.ID == "" {
 			continue
@@ -256,14 +250,26 @@ func (s *Server) loadJournal(path string) (int, error) {
 			drop(p.line, e.ID, err)
 			continue
 		}
-		j := &Job{
+		jobs = append(jobs, &Job{
 			ID:        e.ID,
 			State:     JobQueued,
 			Request:   e.Request,
 			Submitted: e.Submitted,
 			Tenant:    e.Tenant,
 			configs:   configs,
-		}
+		})
+		lines = append(lines, p.line)
+	}
+
+	// Compact before any resumed job can run, so its done record lands
+	// after its accept.
+	if err := s.walOpen(path, jobs); err != nil {
+		return 0, err
+	}
+
+	// Pass 3: re-enqueue them.
+	n := 0
+	for i, j := range jobs {
 		s.mu.Lock()
 		s.jobs[j.ID] = j
 		// Keep fresh IDs past the journaled ones.
@@ -277,42 +283,22 @@ func (s *Server) loadJournal(path string) (int, error) {
 			s.mu.Lock()
 			delete(s.jobs, j.ID)
 			s.mu.Unlock()
-			drop(p.line, e.ID, err)
+			s.walAppend("done", j)
+			drop(lines[i], j.ID, err)
 			continue
 		}
 		s.svc.JobsSubmitted.Add(1)
 		s.svc.JournalResumed.Add(1)
 		n++
 	}
-
-	if !s.cfg.JournalWAL {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return n, err
-		}
-		return n, nil
-	}
-	return n, s.walOpen(path)
+	return n, nil
 }
 
-// walOpen compacts the journal down to the currently-pending jobs (one
-// accept record each) and opens it for appending. The compaction is the
-// same atomic temp+rename as writeJournal, so a crash mid-compaction
-// leaves the previous journal intact.
-func (s *Server) walOpen(path string) error {
-	s.mu.Lock()
-	var jobs []*Job
-	for _, j := range s.jobs {
-		if j.State == JobQueued {
-			jobs = append(jobs, j)
-		}
-	}
-	s.mu.Unlock()
-	// Stable order: by ID (IDs are zero-padded sequence numbers).
-	for i := 1; i < len(jobs); i++ {
-		for k := i; k > 0 && jobs[k].ID < jobs[k-1].ID; k-- {
-			jobs[k], jobs[k-1] = jobs[k-1], jobs[k]
-		}
-	}
+// walOpen compacts the journal down to jobs (one accept record each) and
+// opens it for appending. The compaction is the same atomic temp+rename
+// as writeJournal, so a crash mid-compaction leaves the previous journal
+// intact.
+func (s *Server) walOpen(path string, jobs []*Job) error {
 	if err := writeJournal(path, jobs); err != nil {
 		return err
 	}
@@ -347,12 +333,18 @@ func (s *Server) walAppend(op string, j *Job) {
 	}
 }
 
-// walClose closes the WAL file (after Drain).
-func (s *Server) walClose() {
+// walClose syncs and closes the WAL file (after Drain), so a graceful
+// drain leaves every record on stable storage.
+func (s *Server) walClose() error {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
-	if s.walF != nil {
-		s.walF.Close()
-		s.walF = nil
+	if s.walF == nil {
+		return nil
 	}
+	err := s.walF.Sync()
+	if cerr := s.walF.Close(); err == nil {
+		err = cerr
+	}
+	s.walF = nil
+	return err
 }

@@ -172,7 +172,7 @@ func TestJournalCorruptionRecovery(t *testing.T) {
 	s := &Server{cfg: Config{QueueCapacity: 8, JournalPath: journal, Log: testLogger(t)}.withDefaults(), jobs: make(map[string]*Job)}
 	release := make(chan struct{})
 	s.sched = newScheduler(1, 8, func(j *Job) { <-release })
-	defer func() { close(release); s.sched.drain() }()
+	defer func() { close(release); s.sched.drain(); s.walClose() }()
 
 	n, err := s.loadJournal(journal)
 	if err != nil {
@@ -197,9 +197,39 @@ func TestJournalCorruptionRecovery(t *testing.T) {
 	if got := s.svc.JournalDropped.Load(); got != 3 {
 		t.Fatalf("journal_dropped = %d, want 3", got)
 	}
-	if _, err := os.Stat(journal); !os.IsNotExist(err) {
-		t.Fatalf("journal still exists after load (err=%v)", err)
+	want := []string{"job-000001 accept", "job-000002 accept", "job-000003 accept"}
+	if got := journalOps(t, journal); !slices.Equal(got, want) {
+		t.Fatalf("compacted journal holds %q, want %q", got, want)
 	}
+}
+
+// journalOps lists the journal's records in file order as "<id> <op>",
+// reading a compacted record (no op) as an accept.
+func journalOps(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
+		if line == "" {
+			continue
+		}
+		payload, err := parseJournalLine([]byte(line))
+		if err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		var e journalEntry
+		if err := json.Unmarshal(payload, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Op == "" {
+			e.Op = "accept"
+		}
+		ops = append(ops, e.ID+" "+e.Op)
+	}
+	return ops
 }
 
 // TestJournalRoundTripWithChecksums checks writeJournal output parses
@@ -267,11 +297,11 @@ var longTitleBody = `{"configs":[{"name":"mono","model":"monopath"}],"benchmarks
 	strings.Repeat("<", 200_000) + `"}`
 
 // TestWALLongRecordSurvivesRestart submits the long-title job to a
-// write-ahead-journal server, lets it finish, and starts a new server on
+// journaling server, lets it finish, and starts a new server on
 // the same journal: the records must load like any other, so startup
 // succeeds with nothing dropped and nothing to resume.
 func TestWALLongRecordSurvivesRestart(t *testing.T) {
-	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "wal.journal"), JournalWAL: true, Log: testLogger(t)}
+	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "wal.journal"), Log: testLogger(t)}
 	s1, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +369,7 @@ func FuzzLoadJournal(f *testing.F) {
 // by ID, and the journal_dropped count.
 func loadWALForTest(t *testing.T, path string) ([]string, uint64) {
 	s := &Server{
-		cfg:  Config{JournalPath: path, JournalWAL: true, Log: log.New(io.Discard, "", 0)}.withDefaults(),
+		cfg:  Config{JournalPath: path, Log: log.New(io.Discard, "", 0)}.withDefaults(),
 		jobs: make(map[string]*Job),
 	}
 	s.sched = newScheduler(1, math.MaxInt, func(*Job) {})
@@ -379,22 +409,22 @@ func TestDrainRacesWorkerPanic(t *testing.T) {
 	// One chaos job that will panic in the worker, plus queued jobs the
 	// drain must journal.
 	var ids []string
-	crash, err := s.Submit(JobRequest{
+	crash, err := s.SubmitAs(JobRequest{
 		Configs:    []ConfigEntry{{Name: "mono", Model: "monopath"}},
 		Title:      "boom sweep (IPC)",
 		Benchmarks: []string{"compress"},
 		Insts:      10000,
-	})
+	}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids = append(ids, crash.ID)
 	for i := 0; i < 3; i++ {
-		j, err := s.Submit(JobRequest{
+		j, err := s.SubmitAs(JobRequest{
 			Configs:    []ConfigEntry{{Name: "mono", Model: "monopath"}},
 			Benchmarks: []string{"compress"},
 			Insts:      20000,
-		})
+		}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,22 +446,20 @@ func TestDrainRacesWorkerPanic(t *testing.T) {
 	}()
 	wg.Wait()
 
+	// A job is journaled while its last record is an accept.
 	journaledIDs := make(map[string]bool)
-	if data, err := os.ReadFile(journal); err == nil {
-		for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n") {
-			payload, err := parseJournalLine([]byte(line))
-			if err != nil {
-				t.Fatalf("journal line %q: %v", line, err)
-			}
-			var e journalEntry
-			if err := json.Unmarshal(payload, &e); err != nil {
-				t.Fatal(err)
-			}
-			journaledIDs[e.ID] = true
+	for _, op := range journalOps(t, journal) {
+		id, kind, _ := strings.Cut(op, " ")
+		journaledIDs[id] = kind == "accept"
+	}
+	pending := 0
+	for _, ok := range journaledIDs {
+		if ok {
+			pending++
 		}
 	}
-	if len(journaledIDs) != journaled {
-		t.Fatalf("journal has %d records, Drain reported %d", len(journaledIDs), journaled)
+	if pending != journaled {
+		t.Fatalf("journal has %d pending jobs, Drain reported %d", pending, journaled)
 	}
 
 	// Account for every job: finished (done/failed) or journaled — a job

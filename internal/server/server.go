@@ -69,8 +69,9 @@ type Config struct {
 	// MaxInsts bounds the per-benchmark dynamic length a client may
 	// request (0 = unbounded).
 	MaxInsts uint64
-	// JournalPath is where queued jobs are persisted on Drain and loaded
-	// from on New (empty = no journaling).
+	// JournalPath is the write-ahead job journal: every admitted job is
+	// recorded there until it finishes, and New resumes the jobs it finds
+	// pending (empty = no journaling).
 	JournalPath string
 	// Audit, when not AuditOff, runs every simulation under the pipeline's
 	// invariant auditor at the given level. Auditing is excluded from the
@@ -125,26 +126,15 @@ type Config struct {
 	// owner has not answered within the delay. 0 (the default) hedges
 	// only when the owner stops heartbeating mid-call.
 	HedgeDelay time.Duration
-	// RetryBudget and RetryRefillPerSec bound coordinator-wide cell
-	// re-dispatches: a token bucket of RetryBudget burst refilled at
-	// RetryRefillPerSec tokens/s (defaults 256 and 64). A flapping
-	// worker degrades throughput; it cannot amplify load without bound.
-	RetryBudget       int
-	RetryRefillPerSec float64
+	// RetryBudget bounds coordinator-wide cell re-dispatches: a token
+	// bucket of RetryBudget burst (default 256) refilled at 64 tokens/s.
+	// A flapping worker degrades throughput; it cannot amplify load
+	// without bound.
+	RetryBudget int
 	// PerTenantQueue caps one tenant's share of the job queue (default:
 	// QueueCapacity, i.e. only the global bound). Tenancy comes from the
 	// X-Tenant request header; queued tenants are served round-robin.
 	PerTenantQueue int
-	// CellConcurrency bounds concurrent direct cell executions
-	// (POST /v1/cells) on this node (default GOMAXPROCS). Excess calls
-	// queue inside their request until a slot frees or the caller's
-	// deadline fires.
-	CellConcurrency int
-	// JournalWAL switches the journal from drain-time snapshots to a
-	// write-ahead log: an "accept" record at admission and a "done"
-	// record at any terminal state, so pending jobs survive a SIGKILL,
-	// not just a graceful Drain. Requires JournalPath.
-	JournalWAL bool
 }
 
 func (c Config) withDefaults() Config {
@@ -180,12 +170,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBudget < 1 {
 		c.RetryBudget = 256
-	}
-	if c.RetryRefillPerSec <= 0 {
-		c.RetryRefillPerSec = 64
-	}
-	if c.CellConcurrency < 1 {
-		c.CellConcurrency = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -223,7 +207,7 @@ type Server struct {
 	encMu  sync.Mutex
 	encCfg map[string][]byte
 
-	// Write-ahead journal file (see journal.go; nil unless JournalWAL).
+	// Write-ahead journal file (see journal.go; nil without JournalPath).
 	walMu sync.Mutex
 	walF  *os.File
 
@@ -243,8 +227,8 @@ type Server struct {
 	nextSweep uint64
 }
 
-// New builds a Server and, if cfg.JournalPath names a journal written by
-// a previous Drain, re-enqueues the jobs recorded there.
+// New builds a Server and, if cfg.JournalPath names a journal left by a
+// previous server, re-enqueues the jobs pending there.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	switch cfg.Role {
@@ -254,9 +238,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Role == RoleCoordinator && cfg.DialWorker == nil {
 		return nil, fmt.Errorf("server: coordinator role requires Config.DialWorker")
-	}
-	if cfg.JournalWAL && cfg.JournalPath == "" {
-		return nil, fmt.Errorf("server: JournalWAL requires JournalPath")
 	}
 	s := &Server{cfg: cfg, jobs: make(map[string]*Job), sweeps: make(map[string]*sweepRec)}
 	s.quar = newQuarantine(cfg.CrashThreshold)
@@ -275,9 +256,12 @@ func New(cfg Config) (*Server, error) {
 			s.svc.WorkersEvicted.Add(1)
 			cfg.Log.Printf("polyserve: worker %s evicted (missed heartbeat lease %s)", id, cfg.LeaseTTL)
 		})
-		s.retryTokens = newTokenBucket(cfg.RetryBudget, cfg.RetryRefillPerSec)
+		s.retryTokens = newTokenBucket(cfg.RetryBudget)
 	}
-	s.cellSlots = make(chan struct{}, cfg.CellConcurrency)
+	// Direct cell executions (POST /v1/cells) run at most GOMAXPROCS at a
+	// time; excess calls queue inside their request until a slot frees
+	// or the caller's deadline fires.
+	s.cellSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	s.arenas = arenaPool()
 	s.sched = newTenantScheduler(cfg.Workers, cfg.QueueCapacity, cfg.PerTenantQueue, s.runJob)
 	s.initMetrics()
@@ -315,26 +299,18 @@ func (s *Server) Attachment() string {
 }
 
 // Drain stops accepting jobs, waits for in-flight jobs to finish, and
-// journals still-queued jobs to cfg.JournalPath (if set) so a restarted
-// server picks them up. It returns the number of journaled jobs. In WAL
-// mode the queued jobs' accept records are already durable; Drain only
-// closes the log.
+// syncs and closes the write-ahead journal (if cfg.JournalPath is set).
+// Still-queued jobs already have their accept records there, so a
+// restarted server picks them up. It returns the number of such jobs.
 func (s *Server) Drain() (int, error) {
 	left := s.sched.drain()
 	if s.registry != nil {
 		s.registry.close()
 	}
-	if s.cfg.JournalWAL {
-		s.walClose()
-		return len(left), nil
-	}
-	if len(left) == 0 || s.cfg.JournalPath == "" {
+	if s.cfg.JournalPath == "" {
 		return 0, nil
 	}
-	if err := writeJournal(s.cfg.JournalPath, left); err != nil {
-		return 0, err
-	}
-	return len(left), nil
+	return len(left), s.walClose()
 }
 
 // Stats returns a point-in-time service snapshot (the /v1/stats body).
@@ -407,26 +383,21 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ErrQuarantined is returned by Submit (HTTP 403) for a request whose
+// ErrQuarantined is returned by SubmitAs (HTTP 403) for a request whose
 // signature has crashed the worker CrashThreshold times.
 var ErrQuarantined = errors.New("server: request quarantined after repeated worker crashes")
 
-// Submit validates a request and enqueues it under the default tenant,
-// returning the new job. Validation failures are *RequestError (HTTP
-// 400); a full queue is ErrQueueFull (a full tenant share
-// ErrTenantQueueFull), a draining server ErrDraining, and a
-// repeatedly-crashing request ErrQuarantined.
-func (s *Server) Submit(req JobRequest) (*Job, error) {
-	return s.submit(req, "", nil)
-}
-
-// SubmitAs enqueues a request under the named fair-queuing tenant.
+// SubmitAs validates a request and enqueues it under the named
+// fair-queuing tenant ("" is the default tenant), returning the new job.
+// Validation failures are *RequestError (HTTP 400); a full queue is
+// ErrQueueFull (a full tenant share ErrTenantQueueFull), a draining
+// server ErrDraining, and a repeatedly-crashing request ErrQuarantined.
 func (s *Server) SubmitAs(req JobRequest, tenant string) (*Job, error) {
 	return s.submit(req, tenant, nil)
 }
 
-// submit is the shared enqueue path of Submit and SubmitSweep; sw, when
-// non-nil, attaches the job to the sweep record it executes.
+// submit is the shared enqueue path of SubmitAs and SubmitSweepAs; sw,
+// when non-nil, attaches the job to the sweep record it executes.
 func (s *Server) submit(req JobRequest, tenant string, sw *sweepRec) (*Job, error) {
 	if s.isCoordinator() && req.Trace {
 		return nil, &RequestError{Err: fmt.Errorf("trace is not supported in coordinator mode: cells execute on remote workers and produce no local trace events")}
@@ -773,7 +744,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// writeSubmitError maps a Submit/SubmitSweep error to its HTTP status.
+// writeSubmitError maps a SubmitAs/SubmitSweepAs error to its HTTP status.
 func writeSubmitError(w http.ResponseWriter, err error, queueCapacity int) {
 	var reqErr *RequestError
 	var cfgErr *pipeline.ConfigError

@@ -6,8 +6,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -331,14 +331,18 @@ func TestJobTimeout(t *testing.T) {
 
 // TestDrainJournalsAndResumes drains a server with a queued job and checks
 // a fresh server re-enqueues it from the journal, runs it under its
-// original ID, and removes the journal file.
+// original ID, and compacts the journal down to that job's records.
 func TestDrainJournalsAndResumes(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "polyserve.journal")
 
 	// A server whose single worker blocks, so the second job stays queued.
+	// Its runner records the job done, as runJob does.
 	s := &Server{cfg: Config{QueueCapacity: 4, JournalPath: journal, Log: testLogger(t)}, jobs: make(map[string]*Job)}
 	release := make(chan struct{})
-	s.sched = newScheduler(1, 4, func(j *Job) { <-release })
+	s.sched = newScheduler(1, 4, func(j *Job) { <-release; s.walAppend("done", j) })
+	if _, err := s.loadJournal(journal); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 
 	if resp, data := post(t, ts, `{"experiment":"fig8"}`); resp.StatusCode != http.StatusAccepted {
@@ -381,14 +385,50 @@ func TestDrainJournalsAndResumes(t *testing.T) {
 	if !strings.Contains(res.Text, "compress") {
 		t.Fatalf("resumed job produced unexpected table:\n%s", res.Text)
 	}
-	if _, err := os.Stat(journal); !os.IsNotExist(err) {
-		t.Fatalf("journal %s still exists after resume (err=%v)", journal, err)
+	// The first job finished before the drain, so compaction dropped it.
+	want := []string{queued.ID + " accept", queued.ID + " done"}
+	if got := journalOps(t, journal); !slices.Equal(got, want) {
+		t.Fatalf("journal after resume holds %q, want %q", got, want)
 	}
 
 	// A fresh ID must not collide with the resumed one.
 	fresh := submitAndWait(t, ts2, `{"configs":[{"name":"mono","model":"monopath"}],"benchmarks":["compress"],"insts":10000}`)
 	if fresh.ID == queued.ID {
 		t.Fatalf("fresh job reused the resumed ID %s", fresh.ID)
+	}
+}
+
+// TestStandaloneJournalSurvivesAbruptStop: a standalone server journals a
+// job the moment it accepts it, so the job outlives a server that stops
+// without Drain, and a new server on the same path resumes it under its
+// original ID.
+func TestStandaloneJournalSurvivesAbruptStop(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "polyserve.journal")
+	s1, err := New(Config{JournalPath: journal, Log: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A runner that never finishes a job: the server stops first.
+	s1.sched.drain()
+	s1.sched = newScheduler(1, 4, func(*Job) {})
+	t.Cleanup(func() { s1.sched.drain(); s1.walClose() })
+	accepted, err := s1.SubmitAs(JobRequest{
+		Configs:    []ConfigEntry{{Name: "mono", Model: "monopath"}},
+		Benchmarks: []string{"compress"},
+		Insts:      10000,
+	}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// s1 is abandoned here, never drained.
+	s2, ts2 := newTestServer(t, Config{JournalPath: journal})
+	if _, ok := s2.Job(accepted.ID); !ok {
+		t.Fatalf("job %s accepted before the stop was not resumed", accepted.ID)
+	}
+	waitFor(t, func() bool { j, _ := s2.Job(accepted.ID); return j.State == JobDone })
+	if res := getResult(t, ts2, accepted.ID); !strings.Contains(res.Text, "compress") {
+		t.Fatalf("resumed job produced unexpected table:\n%s", res.Text)
 	}
 }
 

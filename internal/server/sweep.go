@@ -85,7 +85,7 @@ type Sweep struct {
 }
 
 // sweepRec is the server-side sweep state. Identity fields are immutable
-// after SubmitSweep; the cell log is guarded by its own mutex because
+// after SubmitSweepAs; the cell log is guarded by its own mutex because
 // appends arrive from harness worker goroutines.
 type sweepRec struct {
 	id          string
@@ -149,14 +149,9 @@ func (r SweepRequest) jobRequest() JobRequest {
 	}
 }
 
-// SubmitSweep validates a sweep, enqueues its executing job under the
-// default tenant, and returns the sweep snapshot. Error mapping is
-// identical to Submit.
-func (s *Server) SubmitSweep(req SweepRequest) (Sweep, error) {
-	return s.SubmitSweepAs(req, "")
-}
-
-// SubmitSweepAs enqueues a sweep under the named fair-queuing tenant.
+// SubmitSweepAs validates a sweep, enqueues its executing job under the
+// named fair-queuing tenant, and returns the sweep snapshot. Error
+// mapping is identical to SubmitAs.
 func (s *Server) SubmitSweepAs(req SweepRequest, tenant string) (Sweep, error) {
 	if len(req.Configs) == 0 {
 		return Sweep{}, &RequestError{Err: fmt.Errorf("sweep must list at least one entry in \"configs\"")}

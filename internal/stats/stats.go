@@ -315,20 +315,3 @@ func HarmonicMeanIPC(vals []float64) float64 {
 	}
 	return float64(n) / inv
 }
-
-// GeometricMean computes the geometric mean of positive values (the paper
-// uses it for misprediction-rate aggregation in Sec. 5.3.1).
-func GeometricMean(vals []float64) float64 {
-	prod := 1.0
-	n := 0
-	for _, v := range vals {
-		if v > 0 {
-			prod *= v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Pow(prod, 1/float64(n))
-}

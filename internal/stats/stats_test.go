@@ -139,15 +139,6 @@ func TestHarmonicMean(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	if got := GeometricMean([]float64{4, 9}); math.Abs(got-6) > 1e-9 {
-		t.Errorf("geomean(4,9) = %v", got)
-	}
-	if got := GeometricMean(nil); got != 0 {
-		t.Errorf("geomean(nil) = %v", got)
-	}
-}
-
 func TestSummaryMentionsKeyMetrics(t *testing.T) {
 	s := &Sim{Cycles: 10, Committed: 20, Fetched: 30, CondBranches: 5, Mispredicts: 1}
 	s.FUCapacity[isa.ClassMem] = 40

@@ -5,7 +5,8 @@
 #   1. Micro-architectural chaos: every deterministic fault the injector
 #      can plant (rename bit flips, dropped wakeups, free-list corruption,
 #      CTX-tag flips) surfaces as a typed *pipeline.MachineCheckError under
-#      the invariant auditor — never a raw crash (go test ./internal/faultinject).
+#      the invariant auditor — never a raw crash (pipeline's fault tests and
+#      the seeded chaos tests in internal/faultinject).
 #   2. Determinism: experiment output with the auditor off is byte-identical
 #      to the committed golden table, and turning the auditor on changes
 #      nothing (auditing is observation-only).
@@ -29,6 +30,7 @@ go build -o "$WORKDIR/polyserve" ./cmd/polyserve
 go build -o "$WORKDIR/experiments" ./cmd/experiments
 
 echo "== 1. injected micro-architectural faults become machine checks =="
+go test -count=1 -run 'TestInjectedFaultsYieldMachineChecks|TestForeignPanicContained' ./internal/pipeline
 go test -count=1 ./internal/faultinject
 
 echo "== 2. audit-off output is bit-identical to the committed golden =="

@@ -51,7 +51,7 @@ echo "  placement table matches golden and is shard-count independent"
 echo "== round-trip fidelity gate: all Table 1 stand-ins =="
 for name in compress gcc perl go m88ksim xlisp vortex jpeg; do
     trace="$CHAR_OUT/$name.pbt.gz"
-    "$WORKDIR/polysim" -workload "$name" -insts "$INSTS" -emit-trace "$trace" \
+    "$WORKDIR/polysim" -bench "$name" -insts "$INSTS" -emit-trace "$trace" \
         >"$CHAR_OUT/$name.emit.txt"
     "$WORKDIR/polychar" -trace "$trace" -insts "$INSTS" -synth -json \
         >"$CHAR_OUT/$name.char.json" 2>"$CHAR_OUT/$name.char.err"
