@@ -142,16 +142,17 @@ chaos-smoke:
 
 # fuzz-smoke runs every fuzz target for FUZZTIME beyond its committed
 # seed corpus, one run per target (go test -fuzz takes one target at a
-# time): the pipeline-vs-interpreter differential oracle, the PBT1 trace
-# decoder, the config-document decoder, and polyserve's journal loader.
+# time): the pipeline-vs-interpreter differential oracle, the
+# copy-on-write memory against a flat model, the PBT1 trace decoder, the
+# config-document decoder, and polyserve's journal loader.
 # Shrinking a new input stops after 100 executions, so a large seed (the
 # journal loader's 1.2 MB record) cannot spend the budget minimizing
 # instead of exploring. Any crasher is a real bug; commit it as a seed
 # under the package's testdata/fuzz.
 fuzz-smoke:
 	@set -e; for t in FuzzPipelineVsInterp:./internal/isa/progfuzz \
-		FuzzTraceDecode:./internal/btrace FuzzDecodeConfig:./internal/pipeline \
-		FuzzLoadJournal:./internal/server; do \
+		FuzzMemory:./internal/isa FuzzTraceDecode:./internal/btrace \
+		FuzzDecodeConfig:./internal/pipeline FuzzLoadJournal:./internal/server; do \
 		echo "fuzz-smoke: $${t%%:*} for $(FUZZTIME)"; \
 		$(GO) test -run '^$$' -fuzz "^$${t%%:*}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x "$${t#*:}"; \
 	done

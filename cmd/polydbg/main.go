@@ -158,8 +158,8 @@ func repl(m *pipeline.Machine, in io.Reader, out io.Writer) {
 			a := argInt(args, 0, 0)
 			n := argInt(args, 1, 8)
 			mem := m.Memory()
-			for i := 0; i < n && a+i < len(mem); i++ {
-				fmt.Fprintf(out, "  [%d] = %d\n", a+i, mem[a+i])
+			for i := 0; i < n && a+i < mem.Words(); i++ {
+				fmt.Fprintf(out, "  [%d] = %d\n", a+i, mem.Load(a+i))
 			}
 		case "stats":
 			fmt.Fprint(out, m.Stats.Summary())

@@ -48,7 +48,7 @@ type Result struct {
 // pipeline tracer (nil for none; observation only, the result is
 // bit-identical to an untraced run), and arena-style buffer recycling.
 // A worker that runs cells back-to-back passes the same *pipeline.Arena
-// each time; the machine draws its large allocations (memory image,
+// each time; the machine draws its large allocations (memory pages,
 // register file, window, scheduler state, pools) from the arena and
 // donates them back after a successful, verified run. A nil arena
 // degrades to plain allocation. Failed or panicked cells never recycle,

@@ -51,9 +51,9 @@ func TestRunMatrixSharedPrograms(t *testing.T) {
 
 // TestMemoizedRerunGeneratesNothing: when every cell replays from the
 // memo, no program is generated. Generating even one would allocate its
-// data segment and its pilot run's image, so the whole rerun must
-// allocate less than one gcc memory image. Not parallel: the TotalAlloc
-// delta counts every goroutine's allocations.
+// data segment, so the whole rerun must allocate less than gcc's, the
+// smaller of the two. Not parallel: the TotalAlloc delta counts every
+// goroutine's allocations.
 func TestMemoizedRerunGeneratesNothing(t *testing.T) {
 	var simulated atomic.Int64
 	opts := Options{
@@ -92,9 +92,9 @@ func TestMemoizedRerunGeneratesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bound := uint64(workload.MustGenerate(gcc.Spec).MemWords) * 8
+	bound := uint64(len(workload.MustGenerate(gcc.Spec).DataInit)) * 8
 	if got := after.TotalAlloc - before.TotalAlloc; got >= bound {
-		t.Errorf("memoized rerun allocated %d bytes, want under one gcc image (%d)", got, bound)
+		t.Errorf("memoized rerun allocated %d bytes, want under gcc's data segment (%d)", got, bound)
 	}
 	if a, b := RenderTable("t", first), RenderTable("t", second); a != b {
 		t.Errorf("memoized rerun table differs:\n%s\n%s", a, b)

@@ -58,7 +58,7 @@ func TestAssembleFixtureRuns(t *testing.T) {
 	}
 	// sum 1..8 = 36; fn adds 100 twice (once via call, once via jri, the
 	// second entering with r28==0 so it jumps straight to done).
-	if got := it.Mem[16]; got != 236 {
+	if got := it.Mem.Load(16); got != 236 {
 		t.Errorf("mem[16] = %d, want 236", got)
 	}
 }

@@ -101,7 +101,7 @@ func EffAddr(base, imm int64, memWords int) int {
 type Interp struct {
 	Prog      *Program
 	Regs      [NumRegs]int64
-	Mem       []int64
+	Mem       *Memory
 	PC        int
 	Halted    bool
 	InstCount uint64 // dynamic instructions executed (including Halt)
@@ -110,7 +110,7 @@ type Interp struct {
 // NewInterp creates an interpreter with reset architectural state: zeroed
 // registers, memory initialized from the program's DataInit, PC at 0.
 func NewInterp(p *Program) *Interp {
-	return &Interp{Prog: p, Mem: p.Image(nil)}
+	return &Interp{Prog: p, Mem: NewMemory(p)}
 }
 
 // Step executes a single instruction. It returns an error if the machine
@@ -133,10 +133,10 @@ func (it *Interp) Step() error {
 		// nothing
 	case in.Op == Load:
 		ea := EffAddr(it.Regs[in.Src1], in.Imm, it.Prog.MemWords)
-		it.writeReg(in.Dst, it.Mem[ea])
+		it.writeReg(in.Dst, it.Mem.Load(ea))
 	case in.Op == Store:
 		ea := EffAddr(it.Regs[in.Src1], in.Imm, it.Prog.MemWords)
-		it.Mem[ea] = it.Regs[in.Src2]
+		it.Mem.Store(ea, it.Regs[in.Src2])
 	case in.Op.IsCondBranch():
 		if EvalBranch(in.Op, it.Regs[in.Src1], it.Regs[in.Src2]) {
 			next = int(in.Target)

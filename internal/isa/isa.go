@@ -97,10 +97,15 @@ type Inst struct {
 
 // Program is a complete executable: code, the initial contents of data
 // memory, and the memory size in 64-bit words (must be a power of two).
+//
+// A Program is immutable once built: nothing writes its Code or DataInit
+// after construction. The reference-run cache keys on the pointer, and
+// every Memory of the program reads DataInit's full pages in place, so a
+// write to either would change every machine simulating the program.
 type Program struct {
 	Name     string
 	Code     []Inst
-	DataInit []int64 // copied into the low words of memory at reset
+	DataInit []int64 // the low words of memory at reset
 	MemWords int     // power of two; total memory size in words
 }
 
@@ -143,21 +148,6 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("isa: program %q: no Halt instruction", p.Name)
 	}
 	return nil
-}
-
-// Image returns p's memory at reset — DataInit followed by zeros, MemWords
-// words long — in buf's backing array when it is large enough, or in a
-// new one. A reused buffer is written once: DataInit is copied over its
-// head and only the tail is cleared.
-func (p *Program) Image(buf []int64) []int64 {
-	if cap(buf) < p.MemWords {
-		buf = make([]int64, p.MemWords)
-		copy(buf, p.DataInit)
-		return buf
-	}
-	buf = buf[:p.MemWords]
-	clear(buf[copy(buf, p.DataInit):])
-	return buf
 }
 
 // IsCondBranch reports whether op is a conditional branch.

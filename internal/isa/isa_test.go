@@ -208,8 +208,8 @@ func TestInterpRunsProgram(t *testing.T) {
 	if it.Regs[3] != 36 {
 		t.Errorf("sum r3 = %d, want 36", it.Regs[3])
 	}
-	if it.Mem[8] != 36 {
-		t.Errorf("mem[8] = %d, want 36", it.Mem[8])
+	if got := it.Mem.Load(8); got != 36 {
+		t.Errorf("mem[8] = %d, want 36", got)
 	}
 	if it.Regs[5] != 8 {
 		t.Errorf("r5 = %d, want 8", it.Regs[5])

@@ -33,7 +33,8 @@ var refCache struct {
 }
 
 // refCacheMaxPrograms caps how many distinct programs the cache retains
-// before it is cleared wholesale.
+// before it is cleared wholesale. A cached final state holds its
+// memory's page table and the pages the run copied, not a full image.
 const refCacheMaxPrograms = 64
 
 // TraceCached returns the reference run for p capped at maxInsts,

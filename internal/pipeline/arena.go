@@ -1,15 +1,16 @@
 package pipeline
 
 import (
+	"repro/internal/isa"
 	"repro/internal/rename"
 )
 
 // arena.go: arena-style reuse of a machine's large allocations across
 // simulations. An experiment sweep builds one Machine per (benchmark,
 // config, replicate) cell; without reuse every cell re-allocates the
-// memory image, the physical register file, the window backing array and
-// its SoA scheduler state, the completion ring, and the object pools the
-// cycle loop warmed up. A worker that runs cells back-to-back instead
+// memory's page table and private pages, the physical register file, the
+// window backing array and its SoA scheduler state, the completion ring,
+// and the object pools the cycle loop warmed up. A worker that runs cells back-to-back instead
 // donates the finished machine's buffers to its Arena and the next
 // NewWithArena draws them out again, so steady-state per-cell allocation
 // approaches the small fixed state (predictors, rename tables,
@@ -25,7 +26,7 @@ import (
 // Arena holds the recyclable buffers of at most one finished machine.
 // The zero value is an empty, usable arena.
 type Arena struct {
-	mem        []int64
+	mem        *isa.Memory
 	physVal    []int64
 	ready      rename.ReadySet
 	winBuf     []*entry
@@ -92,6 +93,18 @@ func (m *Machine) Recycle(a *Arena) {
 	m.finstPool = nil
 	m.latchPool = nil
 	m.halted = true
+}
+
+// takeMemory draws the arena's memory, reset to prog's image, or builds
+// a new one. The reset keeps the recycled page table and private pages.
+func (a *Arena) takeMemory(prog *isa.Program) *isa.Memory {
+	mem := a.mem
+	a.mem = nil
+	if mem == nil {
+		return isa.NewMemory(prog)
+	}
+	mem.Reset(prog)
+	return mem
 }
 
 // takeI64 draws an n-length zeroed []int64 from buf, or allocates one.

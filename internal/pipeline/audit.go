@@ -82,8 +82,8 @@ func (m *Machine) auditWindow() {
 		if e.readsSrc2 && !m.freeList.IsAllocated(e.src2Phys) {
 			m.machineCheckf("free-list", e.pc, "entry seq %d source p%d is not allocated", e.seq, e.src2Phys)
 		}
-		if (e.isLoad || e.isStore) && e.addrReady && (e.addr < 0 || e.addr >= len(m.mem)) {
-			m.machineCheckf("store-filter", e.pc, "entry seq %d effective address %d outside memory [0,%d)", e.seq, e.addr, len(m.mem))
+		if (e.isLoad || e.isStore) && e.addrReady && (e.addr < 0 || e.addr >= m.mem.Words()) {
+			m.machineCheckf("store-filter", e.pc, "entry seq %d effective address %d outside memory [0,%d)", e.seq, e.addr, m.mem.Words())
 		}
 	}
 	// Architected references: the retirement map must only name allocated

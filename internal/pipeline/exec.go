@@ -228,7 +228,7 @@ func (m *Machine) issueLoad(e *entry, pos int) (issued, forwarded bool) {
 		forwarded = true
 		m.Stats.StoreForwards++
 	} else {
-		e.result = m.mem[addr]
+		e.result = m.mem.Load(addr)
 	}
 	e.addr = addr
 	e.addrReady = true
@@ -241,7 +241,7 @@ func (m *Machine) schedule(e *entry, lat int) {
 	if lat >= len(m.ring) {
 		m.machineCheckf("completion-ring", e.pc, "latency %d exceeds completion ring size %d", lat, len(m.ring))
 	}
-	slot := (m.cycle + uint64(lat)) % uint64(len(m.ring))
+	slot := (m.cycle + uint64(lat)) & m.ringMask
 	m.ring[slot] = append(m.ring[slot], e)
 }
 
@@ -249,7 +249,7 @@ func (m *Machine) schedule(e *entry, lat int) {
 // results are published to the physical register file (waking dependents)
 // and branches resolve on the branch resolution bus.
 func (m *Machine) writeback() {
-	slot := m.cycle % uint64(len(m.ring))
+	slot := m.cycle & m.ringMask
 	completing := m.ring[slot]
 	m.ring[slot] = nil
 	buses := m.cfg.ResolutionBuses
@@ -263,7 +263,7 @@ func (m *Machine) writeback() {
 		if (e.isBranch || e.isIndirect) && m.cfg.ResolutionBuses > 0 && buses == 0 {
 			// All resolution buses are occupied this cycle; the branch
 			// retries next cycle (Sec. 3.2.3's bus-contention case).
-			next := (m.cycle + 1) % uint64(len(m.ring))
+			next := (m.cycle + 1) & m.ringMask
 			m.ring[next] = append(m.ring[next], e)
 			continue
 		}
@@ -535,7 +535,7 @@ func (m *Machine) commitEntry(e *entry) {
 		m.emit(TraceCommit, e.seq, e.pc, e.path, e.tag, "")
 	}
 	if e.isStore {
-		m.mem[e.addr] = e.storeData
+		m.mem.Store(e.addr, e.storeData)
 		if m.dcache != nil {
 			m.Stats.DCacheAccesses++
 			if !m.dcache.Access(e.addr) {

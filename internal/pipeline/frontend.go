@@ -56,33 +56,31 @@ func (m *Machine) renameOne(f *finst) bool {
 		return false
 	}
 
+	// Zero the pooled entry in place and fill it field by field: a
+	// composite literal would be built aside and copied in whole.
 	e := m.allocEntry()
-	*e = entry{
-		seq:  f.seq,
-		pc:   f.pc,
-		inst: f.inst,
-		path: p,
-		tag:  f.tag,
-
-		class: d.class,
-		lat:   d.lat,
-
-		isLoad:  d.isLoad,
-		isStore: d.isStore,
-
-		isBranch:     f.isBranch,
-		isIndirect:   f.isIndirect,
-		isRet:        f.isRet,
-		predTarget:   f.predTarget,
-		predTargetOK: f.predTargetOK,
-		predTaken:    f.predTaken,
-		lowConf:      f.lowConf,
-		diverged:     f.diverged,
-		histPos:      f.histPos,
-		ghrAtPredict: f.ghrAtPredict,
-		onTrace:      f.onTrace,
-		traceIdx:     f.traceIdx,
-	}
+	*e = entry{}
+	e.seq = f.seq
+	e.pc = f.pc
+	e.inst = f.inst
+	e.path = p
+	e.tag = f.tag
+	e.class = d.class
+	e.lat = d.lat
+	e.isLoad = d.isLoad
+	e.isStore = d.isStore
+	e.isBranch = f.isBranch
+	e.isIndirect = f.isIndirect
+	e.isRet = f.isRet
+	e.predTarget = f.predTarget
+	e.predTargetOK = f.predTargetOK
+	e.predTaken = f.predTaken
+	e.lowConf = f.lowConf
+	e.diverged = f.diverged
+	e.histPos = f.histPos
+	e.ghrAtPredict = f.ghrAtPredict
+	e.onTrace = f.onTrace
+	e.traceIdx = f.traceIdx
 	if d.readsSrc1 {
 		e.readsSrc1 = true
 		e.src1Phys = p.regmap.Get(f.inst.Src1)

@@ -1,10 +1,9 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"unsafe"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -166,7 +165,7 @@ type Machine struct {
 	prog *isa.Program
 
 	// Architectural state (committed).
-	mem       []int64
+	mem       *isa.Memory
 	retireMap *rename.Map
 
 	// Rename state. physReady is a packed per-physical-register bitmap:
@@ -199,7 +198,8 @@ type Machine struct {
 	window   []*entry   // seq-ordered, alive entries only: winBuf[winOff : winOff+len]
 	winBuf   []*entry   // window backing array, compacted when the tail is reached
 	winOff   int        // offset of window[0] in winBuf
-	ring     [][]*entry // completion events indexed by cycle % len(ring)
+	ring     [][]*entry // completion events indexed by cycle & ringMask
+	ringMask uint64     // len(ring) - 1; len(ring) is a power of two
 	// soa is the structure-of-arrays scheduler state over winBuf slots:
 	// wakeup and select walk its per-64-entry bitmaps with
 	// bits.TrailingZeros64 instead of scanning entry structs (soa.go).
@@ -257,8 +257,9 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 }
 
 // NewWithArena is New drawing the machine's large allocations — memory
-// image, register file, window backing array and SoA scheduler state,
-// completion ring, predecode table, object pools — from a (see arena.go).
+// page table and private pages, register file, window backing array and
+// SoA scheduler state, completion ring, predecode table, object pools —
+// from a (see arena.go).
 // A nil arena behaves exactly like New. The caller donates the buffers
 // back with Machine.Recycle once the simulation is finished; results are
 // bit-identical with or without an arena.
@@ -292,7 +293,7 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	m := &Machine{
 		cfg:       cfg,
 		prog:      prog,
-		mem:       prog.Image(a.mem),
+		mem:       a.takeMemory(prog),
 		retireMap: rename.NewIdentityMap(),
 		physVal:   takeI64(&a.physVal, cfg.PhysRegs),
 		physReady: rename.ReuseReadySet(a.ready, cfg.PhysRegs),
@@ -305,17 +306,19 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		paths:     a.takePaths(cfg.MaxPaths),
 		frontEnd:  a.takeFrontEnd(cfg.FrontEndStages),
 	}
-	a.mem, a.ready = nil, rename.ReadySet{}
+	a.ready = rename.ReadySet{}
 	m.entryPool, m.finstPool, m.latchPool, m.fpsScratch = a.takePools(cfg.RASDepth)
 	m.auditInts, m.auditBools = a.takeAudit()
 	// The completion ring must cover the longest possible operation
 	// latency (integer multiply, plus the D-cache miss penalty when the
-	// cache model is enabled).
+	// cache model is enabled). It is a power of two long so that schedule
+	// and writeback index it with a mask.
 	maxLat := 8
 	if cfg.EnableDCache {
 		maxLat += cfg.DCacheMissLatency + 2
 	}
-	m.ring = a.takeRing(maxLat + 2)
+	m.ring = a.takeRing(1 << bits.Len(uint(maxLat+1)))
+	m.ringMask = uint64(len(m.ring) - 1)
 	// The window is bounded by WindowSize; a 2x backing array makes the
 	// head-popping commit path O(1) with amortized-free compaction.
 	m.winBuf = a.takeEntries(2 * cfg.WindowSize)
@@ -639,7 +642,7 @@ func (m *Machine) FinalRegs() [isa.NumRegs]int64 {
 }
 
 // Memory returns the committed architectural memory.
-func (m *Machine) Memory() []int64 { return m.mem }
+func (m *Machine) Memory() *isa.Memory { return m.mem }
 
 // VerifyArchState compares the committed architectural state against the
 // functional reference execution and returns a descriptive error on any
@@ -654,21 +657,9 @@ func (m *Machine) VerifyArchState() error {
 			return fmt.Errorf("pipeline: r%d = %d, reference %d", r, regs[r], m.interp.Regs[r])
 		}
 	}
-	// The images are compared whole at memory speed; the word-by-word
-	// walk runs only on a mismatch, to name the first differing word.
-	if bytes.Equal(wordBytes(m.mem), wordBytes(m.interp.Mem)) {
-		return nil
-	}
-	for a := range m.mem {
-		if m.mem[a] != m.interp.Mem[a] {
-			return fmt.Errorf("pipeline: mem[%d] = %d, reference %d", a, m.mem[a], m.interp.Mem[a])
-		}
+	// Only pages that either side copied can differ (isa.Memory.Diff).
+	if a := m.mem.Diff(m.interp.Mem); a >= 0 {
+		return fmt.Errorf("pipeline: mem[%d] = %d, reference %d", a, m.mem.Load(a), m.interp.Mem.Load(a))
 	}
 	return nil
-}
-
-// wordBytes views w's backing array as bytes, without copying. Two word
-// slices are equal exactly when their byte views are.
-func wordBytes(w []int64) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), 8*len(w))
 }

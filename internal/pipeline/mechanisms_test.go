@@ -157,7 +157,7 @@ func TestStoreForwardingStaysOnPath(t *testing.T) {
 		t.Error("scenario should exercise store-to-load forwarding")
 	}
 	// acc = 100*111 + 100*222 (alternating data) = 33300.
-	if got := m.Memory()[acc]; got != 33300 {
+	if got := m.Memory().Load(int(acc)); got != 33300 {
 		t.Errorf("acc = %d, want 33300", got)
 	}
 }

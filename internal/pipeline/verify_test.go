@@ -22,28 +22,29 @@ func TestVerifyArchStateNamesFirstMismatch(t *testing.T) {
 	prog := workload.MustGenerate(bm.Spec)
 	n := prog.MemWords
 	memErr := func(m *Machine, a int) string {
-		return fmt.Sprintf("pipeline: mem[%d] = %d, reference %d", a, m.mem[a], m.interp.Mem[a])
+		return fmt.Sprintf("pipeline: mem[%d] = %d, reference %d", a, m.mem.Load(a), m.interp.Mem.Load(a))
 	}
+	flip := func(m *Machine, a int, mask int64) { m.mem.Store(a, m.mem.Load(a)^mask) }
 	cases := []struct {
 		name    string
 		corrupt func(m *Machine) string // returns the wanted error text
 	}{
 		{"untouched", func(m *Machine) string { return "" }},
 		{"first word", func(m *Machine) string {
-			m.mem[0] ^= 1
+			flip(m, 0, 1)
 			return memErr(m, 0)
 		}},
 		{"middle word", func(m *Machine) string {
-			m.mem[n/2] ^= 0x5a5a
+			flip(m, n/2, 0x5a5a)
 			return memErr(m, n/2)
 		}},
 		{"last word", func(m *Machine) string {
-			m.mem[n-1] ^= -1
+			flip(m, n-1, -1)
 			return memErr(m, n-1)
 		}},
 		{"two words", func(m *Machine) string {
-			m.mem[2*n/3] ^= 3
-			m.mem[n/3] ^= 5
+			flip(m, 2*n/3, 3)
+			flip(m, n/3, 5)
 			return memErr(m, n/3)
 		}},
 		{"register", func(m *Machine) string {

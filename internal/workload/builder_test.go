@@ -115,7 +115,7 @@ func TestBuilderDataPlacementAndMemorySizing(t *testing.T) {
 		t.Errorf("memory sizing: %d words for %d data", p.MemWords, len(p.DataInit))
 	}
 	it := isa.NewInterp(p)
-	if it.Mem[0] != 1 || it.Mem[2] != 3 || it.Mem[3] != 4 {
+	if it.Mem.Load(0) != 1 || it.Mem.Load(2) != 3 || it.Mem.Load(3) != 4 {
 		t.Error("data not loaded into memory")
 	}
 }
