@@ -364,16 +364,17 @@ func BenchmarkCacheAccess(b *testing.B) {
 }
 
 // BenchmarkRAS measures return-address stack push/pop plus the per-branch
-// snapshot clone the pipeline takes.
+// snapshot copy the pipeline takes.
 func BenchmarkRAS(b *testing.B) {
 	r := bpred.NewRAS(16)
+	s := bpred.NewRAS(16)
 	for i := 0; i < b.N; i++ {
 		r.Push(i)
 		if i%3 == 0 {
 			r.Pop()
 		}
 		if i%7 == 0 {
-			s := r.Clone()
+			s.CopyFrom(r)
 			r.CopyFrom(s)
 		}
 	}

@@ -228,10 +228,11 @@ func TestRASCircularOverflow(t *testing.T) {
 	}
 }
 
-func TestRASCloneAndRestore(t *testing.T) {
+func TestRASCopyFromAndRestore(t *testing.T) {
 	r := NewRAS(8)
 	r.Push(5)
-	snap := r.Clone()
+	snap := NewRAS(8)
+	snap.CopyFrom(r)
 	r.Push(6)
 	r.Pop()
 	r.Pop()
@@ -241,6 +242,21 @@ func TestRASCloneAndRestore(t *testing.T) {
 	}
 	if r.Depth() != 8 || snap.StateBytes() != 32 {
 		t.Error("accessors")
+	}
+}
+
+func TestRASReset(t *testing.T) {
+	r := NewRAS(4)
+	for i := 1; i <= 6; i++ {
+		r.Push(i)
+	}
+	r.Reset()
+	if _, ok := r.Pop(); ok {
+		t.Fatal("a reset stack must be empty")
+	}
+	r.Push(9)
+	if a, ok := r.Pop(); !ok || a != 9 {
+		t.Errorf("pop after reset = %d,%v want 9", a, ok)
 	}
 }
 

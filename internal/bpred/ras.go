@@ -50,14 +50,14 @@ func (r *RAS) Pop() (addr int, ok bool) {
 // Depth returns the configured capacity.
 func (r *RAS) Depth() int { return r.depth }
 
-// Clone returns an independent copy (per-path speculative state).
-func (r *RAS) Clone() *RAS {
-	c := &RAS{depth: r.depth, entries: make([]int32, r.depth), top: r.top, count: r.count}
-	copy(c.entries, r.entries)
-	return c
+// Reset empties the stack.
+func (r *RAS) Reset() {
+	clear(r.entries)
+	r.top, r.count = 0, 0
 }
 
-// CopyFrom restores r from a snapshot with the same depth.
+// CopyFrom overwrites r with src, which must have the same depth: the
+// snapshot and restore of per-path speculative state.
 func (r *RAS) CopyFrom(src *RAS) {
 	if src.depth != r.depth {
 		panic("bpred: RAS snapshot depth mismatch")

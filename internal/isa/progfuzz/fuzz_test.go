@@ -24,7 +24,10 @@ const fuzzMaxInsts = 3000
 // fuzzConfigs are the machine models every fuzz input runs under:
 // the monopath baseline, the paper's PolyPath SEE machine, fully eager
 // forking, and a deliberately tiny machine where structural pressure
-// (window, checkpoints, CTX tags, physical registers) is maximal.
+// (window, checkpoints, CTX tags, physical registers) is maximal. The
+// tiny machine runs under the per-cycle invariant auditor: its five CTX
+// slots are reused constantly, so every input also checks path identity,
+// entry recycling and the live-path list against the auditor's sweeps.
 func fuzzConfigs() []struct {
 	name string
 	cfg  pipeline.Config
@@ -67,6 +70,7 @@ func fuzzConfigs() []struct {
 	tiny.NumFPAdd = 1
 	tiny.NumFPMul = 1
 	tiny.NumMemPorts = 1
+	tiny.Audit = pipeline.AuditCycle
 
 	out := []struct {
 		name string

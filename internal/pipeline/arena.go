@@ -10,12 +10,12 @@ import (
 // config, replicate) cell; without reuse every cell re-allocates the
 // memory's page table and private pages, the physical register file, the
 // window backing array and its SoA scheduler state, the completion ring,
-// and the object pools the cycle loop warmed up. A worker that runs cells back-to-back instead
-// donates the finished machine's buffers to its Arena and the next
-// NewWithArena draws them out again, so steady-state per-cell allocation
-// approaches the small fixed state (predictors, rename tables,
-// histograms) that either escapes with the result or depends on the
-// configuration shape.
+// the CTX slots, and the object pools the cycle loop warmed up. A worker
+// that runs cells back-to-back instead donates the finished machine's
+// buffers to its Arena and the next NewWithArena draws them out again,
+// so steady-state per-cell allocation approaches the small fixed state
+// (predictors, rename tables, histograms) that either escapes with the
+// result or depends on the configuration shape.
 //
 // An Arena is NOT safe for concurrent use: it belongs to one worker
 // (harness.RunConfigs keeps one per scheduler shard). Buffers are taken
@@ -33,17 +33,13 @@ type Arena struct {
 	soa        soaState
 	ring       [][]*entry
 	deco       []deco
-	paths      []*path
-	frontEnd   [][]*finst
+	slots      []ctxSlot
+	frontEnd   [][]*entry
 	entryPool  []*entry
-	finstPool  []*finst
-	latchPool  [][]*finst
+	latchPool  [][]*entry
 	fpsScratch []*path
 	auditInts  []int
 	auditBools []bool
-	// rasDepth is the RAS depth the pooled finsts' snapshot buffers were
-	// sized for; a different configuration invalidates them.
-	rasDepth int
 }
 
 // NewArena returns an empty arena.
@@ -67,17 +63,15 @@ func (m *Machine) Recycle(a *Arena) {
 	a.soa = m.soa
 	a.ring = m.ring
 	a.deco = m.deco
-	a.paths = m.paths
+	a.slots = m.slots
 	a.frontEnd = m.frontEnd
-	// Only pooled (free) objects transfer; entries still live in a window
-	// cut mid-flight by MaxInsts are simply left to the collector.
+	// Only pooled (free) objects transfer; entries still in flight when
+	// MaxInsts cut the run are simply left to the collector.
 	a.entryPool = m.entryPool
-	a.finstPool = m.finstPool
 	a.latchPool = m.latchPool
 	a.fpsScratch = m.fpsScratch
 	a.auditInts = m.auditInts
 	a.auditBools = m.auditBools
-	a.rasDepth = m.cfg.RASDepth
 
 	m.mem = nil
 	m.physVal = nil
@@ -87,10 +81,10 @@ func (m *Machine) Recycle(a *Arena) {
 	m.soa = soaState{}
 	m.ring = nil
 	m.deco = nil
-	m.paths = nil
+	m.slots = nil
+	m.live = nil
 	m.frontEnd = nil
 	m.entryPool = nil
-	m.finstPool = nil
 	m.latchPool = nil
 	m.halted = true
 }
@@ -196,46 +190,43 @@ func (a *Arena) takeDeco(n int) []deco {
 	return s
 }
 
-// takePaths draws an n-length nil-cleared CTX table.
-func (a *Arena) takePaths(n int) []*path {
-	s := a.paths
-	a.paths = nil
+// takeSlots draws an n-slot CTX table with every slot free. The slots
+// keep their return-address stacks, whose depth NewWithArena checks.
+func (a *Arena) takeSlots(n int) []ctxSlot {
+	s := a.slots
+	a.slots = nil
 	if cap(s) < n {
-		return make([]*path, n)
+		s = make([]ctxSlot, n)
 	}
 	s = s[:n]
-	clear(s)
+	for i := range s {
+		s[i].path = path{ras: s[i].path.ras}
+	}
 	return s
 }
 
 // takeFrontEnd draws an n-length nil-cleared latch array.
-func (a *Arena) takeFrontEnd(n int) [][]*finst {
+func (a *Arena) takeFrontEnd(n int) [][]*entry {
 	s := a.frontEnd
 	a.frontEnd = nil
 	if cap(s) < n {
-		return make([][]*finst, n)
+		return make([][]*entry, n)
 	}
 	s = s[:n]
 	clear(s)
 	return s
 }
 
-// takePools moves the object pools out of the arena. Pooled entries and
-// latches are shape-independent (every field is overwritten at
-// allocation); pooled finsts carry RAS snapshot buffers sized for
-// rasDepth, which are dropped when the new configuration differs.
-func (a *Arena) takePools(rasDepth int) (es []*entry, fs []*finst, ls [][]*finst, fps []*path) {
-	es, fs, ls, fps = a.entryPool, a.finstPool, a.latchPool, a.fpsScratch
-	a.entryPool, a.finstPool, a.latchPool, a.fpsScratch = nil, nil, nil, nil
-	if a.rasDepth != rasDepth {
-		for _, f := range fs {
-			f.rasSnap = nil
-		}
-	}
+// takePools moves the object pools out of the arena. Pooled latches are
+// shape-independent, and fetch zeroes a pooled entry before use except
+// for its RAS snapshot buffer, whose depth snapshotRAS checks.
+func (a *Arena) takePools() (es []*entry, ls [][]*entry, fps []*path) {
+	es, ls, fps = a.entryPool, a.latchPool, a.fpsScratch
+	a.entryPool, a.latchPool, a.fpsScratch = nil, nil, nil
 	if fps != nil {
 		fps = fps[:0]
 	}
-	return es, fs, ls, fps
+	return es, ls, fps
 }
 
 // takeAudit moves the audit scratch buffers out of the arena.

@@ -95,25 +95,29 @@ func (m *Machine) auditWindow() {
 	}
 }
 
-// auditPaths verifies the CTX table: the live-path count, per-path rename
-// map references, and the pending-branch refcount that gates zombie-slot
-// reclamation.
+// auditPaths verifies the CTX table: the live list that orders fetch,
+// per-path rename map references, and the pending-branch refcount that
+// gates zombie-slot reclamation.
 func (m *Machine) auditPaths() {
 	live := 0
-	for id, p := range m.paths {
-		if p == nil {
+	for id := range m.slots {
+		s := &m.slots[id]
+		p := &s.path
+		if !p.live {
 			continue
 		}
 		live++
 		if p.id != id {
 			m.machineCheckf("ctx-refcount", p.fetchPC, "path in slot %d believes it is slot %d", id, p.id)
 		}
-		if !p.live {
-			m.machineCheckf("ctx-refcount", p.fetchPC, "released path still occupies CTX slot %d", id)
+		// Two paths sharing a map would corrupt each other's speculative
+		// state.
+		if p.regmap != nil && p.regmap != &s.regmap {
+			m.machineCheckf("ctx-refcount", p.fetchPC, "path %d uses a register map its slot does not own", id)
 		}
 		// A fresh child path has no rename map until its creating divergent
-		// branch renames (the map copies are cloned at that point); a nil
-		// map is therefore legal, but a present map must be sound.
+		// branch renames (the map is copied into the slot at that point); a
+		// nil map is therefore legal, but a present map must be sound.
 		if p.regmap != nil {
 			for r := 0; r < isa.NumRegs; r++ {
 				if phys := p.regmap.Get(isa.Reg(r)); !m.freeList.IsAllocated(phys) {
@@ -125,34 +129,42 @@ func (m *Machine) auditPaths() {
 			m.machineCheckf("ctx-refcount", p.fetchPC, "path %d pending-branch refcount is %d", id, p.pendingBranches)
 		}
 	}
-	if live != m.livePaths {
-		m.machineCheckf("ctx-refcount", -1, "CTX table holds %d paths but the live counter says %d", live, m.livePaths)
+	if live != len(m.live) {
+		m.machineCheckf("ctx-refcount", -1, "CTX table holds %d paths but the live list holds %d", live, len(m.live))
+	}
+	for i, p := range m.live {
+		if !p.live {
+			m.machineCheckf("ctx-refcount", p.fetchPC, "released path %d still on the live list", p.id)
+		}
+		if i > 0 && p.seqNo <= m.live[i-1].seqNo {
+			m.machineCheckf("ctx-refcount", p.fetchPC, "live list out of creation order at path %d", p.id)
+		}
 	}
 
 	// Recompute each path's unresolved-control refcount from the window and
 	// the front end; a drifted count reclaims (or leaks) CTX slots.
-	pending := m.auditScratchInts(len(m.paths))
-	count := func(pp *path, pc int) {
-		if m.paths[pp.id] != pp {
-			m.machineCheckf("ctx-refcount", pc, "unresolved control instruction on released path %d", pp.id)
+	pending := m.auditScratchInts(len(m.slots))
+	count := func(e *entry) {
+		if !e.onLivePath() {
+			m.machineCheckf("ctx-refcount", e.pc, "unresolved control instruction on released path %d", e.path.id)
 		}
-		pending[pp.id]++
+		pending[e.path.id]++
 	}
 	for _, e := range m.window {
 		if (e.isBranch || e.isIndirect) && !e.resolved {
-			count(e.path, e.pc)
+			count(e)
 		}
 	}
 	for _, latch := range m.frontEnd {
 		for _, f := range latch {
 			if f.isBranch || f.isIndirect {
-				count(f.path, f.pc)
+				count(f)
 			}
 		}
 	}
-	for id, p := range m.paths {
-		if p != nil && p.pendingBranches != pending[id] {
-			m.machineCheckf("ctx-refcount", p.fetchPC, "path %d pending-branch refcount %d, recounted %d", id, p.pendingBranches, pending[id])
+	for _, p := range m.live {
+		if p.pendingBranches != pending[p.id] {
+			m.machineCheckf("ctx-refcount", p.fetchPC, "path %d pending-branch refcount %d, recounted %d", p.id, p.pendingBranches, pending[p.id])
 		}
 	}
 }
@@ -181,7 +193,7 @@ func (m *Machine) auditCtxTags() {
 			}
 		}
 		m.auditTag(e.tag, e.pc)
-		if m.paths[e.path.id] == e.path && e.tag != e.path.tag {
+		if e.onLivePath() && e.tag != e.path.tag {
 			m.machineCheckf("store-filter", e.pc, "entry seq %d tag %s drifted from path %d tag %s", e.seq, e.tag, e.path.id, e.path.tag)
 		}
 	}
@@ -192,15 +204,13 @@ func (m *Machine) auditCtxTags() {
 				divergences++
 			}
 			m.auditTag(f.tag, f.pc)
-			if m.paths[f.path.id] == f.path && f.tag != f.path.tag {
+			if f.onLivePath() && f.tag != f.path.tag {
 				m.machineCheckf("store-filter", f.pc, "front-end instruction seq %d tag %s drifted from path %d tag %s", f.seq, f.tag, f.path.id, f.path.tag)
 			}
 		}
 	}
-	for _, p := range m.paths {
-		if p != nil {
-			m.auditTag(p.tag, p.fetchPC)
-		}
+	for _, p := range m.live {
+		m.auditTag(p.tag, p.fetchPC)
 	}
 	if divergences != m.divergences {
 		m.machineCheckf("ctx-refcount", -1, "divergence counter %d, recounted %d unresolved divergences in flight", m.divergences, divergences)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/ctxtag"
 	"repro/internal/isa"
 	"repro/internal/isa/progfuzz"
 	"repro/internal/workload"
@@ -263,5 +264,71 @@ func TestAuditExcludedFromCanonicalHash(t *testing.T) {
 	bad.WindowSize = -1
 	if _, err := CanonicalHash(bad); err == nil {
 		t.Fatal("CanonicalHash accepted an invalid config")
+	}
+}
+
+// TestEntryOnReusedCtxSlot covers path identity under CTX slot reuse. An
+// entry can outlive its path: a reclaimed zombie parent's older
+// instructions stay in the window while a new path takes the slot. Such
+// an entry belongs to no live path, so the auditor must not compare it
+// with the new path's tag, and the tag-flip injector, which corrupts
+// entries on live paths only, must never pick it.
+func TestEntryOnReusedCtxSlot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Confidence.Kind = ConfAlwaysLow // diverge at every branch
+	m, err := New(sumProgram(2000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := func() (err error) {
+		defer func() { m.containMachineCheck(recover(), &err) }()
+		m.runAudit()
+		return nil
+	}
+	onReusedSlot := func(e *entry) bool { return e.path.live && e.path.seqNo != e.pathSeqNo }
+
+	checked := 0
+	for !m.Halted() && checked < 20 {
+		m.Step()
+		stale, live := 0, 0
+		for _, e := range m.window {
+			if onReusedSlot(e) {
+				stale++
+			}
+			if e.onLivePath() {
+				live++
+			}
+		}
+		if stale == 0 {
+			continue
+		}
+		checked++
+		if err := audit(); err != nil {
+			t.Fatalf("cycle %d: auditor flagged a healthy machine with %d entries on reused slots: %v", m.Cycle(), stale, err)
+		}
+		tags := make([]ctxtag.Tag, len(m.window))
+		for arg := uint64(0); arg < uint64(2*len(m.window)); arg++ {
+			for i, e := range m.window {
+				tags[i] = e.tag
+			}
+			if injected := m.InjectFault(FaultCtxTagFlip, arg); injected != (live > 0) {
+				t.Fatalf("cycle %d: tag flip injected=%v with %d live-path entries in the window", m.Cycle(), injected, live)
+			}
+			for i, e := range m.window {
+				if e.tag == tags[i] {
+					continue
+				}
+				if !e.onLivePath() {
+					t.Fatalf("cycle %d: tag flip picked entry seq %d, whose CTX slot was reused", m.Cycle(), e.seq)
+				}
+				if audit() == nil {
+					t.Fatalf("cycle %d: flipped tag on live-path entry seq %d went undetected", m.Cycle(), e.seq)
+				}
+				e.tag = tags[i]
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no entry outlived its path into a reused CTX slot; the test exercised nothing")
 	}
 }

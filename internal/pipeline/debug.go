@@ -74,8 +74,9 @@ type PathView struct {
 // PathsView snapshots the live CTX table.
 func (m *Machine) PathsView() []PathView {
 	var out []PathView
-	for _, p := range m.paths {
-		if p == nil {
+	for i := range m.slots {
+		p := &m.slots[i].path
+		if !p.live {
 			continue
 		}
 		out = append(out, PathView{

@@ -409,7 +409,7 @@ func (m *Machine) killMatching(minSeq uint64, pred func(ctxtag.Tag) bool, protec
 		keptF := latch[:0]
 		for _, f := range latch {
 			if f.seq > minSeq && pred(f.tag) {
-				m.killFinst(f)
+				m.killEntry(f)
 			} else {
 				keptF = append(keptF, f)
 			}
@@ -425,14 +425,17 @@ func (m *Machine) killMatching(minSeq uint64, pred func(ctxtag.Tag) bool, protec
 		}
 	}
 
-	for _, p := range m.paths {
-		if p != nil && p != protect && pred(p.tag) {
+	for i := range m.slots {
+		if p := &m.slots[i].path; p.live && p != protect && pred(p.tag) {
 			m.releasePath(p)
 		}
 	}
 }
 
-// killEntry squashes a window entry, returning its resources.
+// killEntry squashes an entry in the window or the front end, returning
+// its resources. An entry that has not renamed holds no register, no
+// checkpoint and no completion event; only its branch and divergence
+// bookkeeping is undone.
 func (m *Machine) killEntry(e *entry) {
 	e.killed = true
 	m.Stats.Killed++
@@ -462,23 +465,6 @@ func (m *Machine) killEntry(e *entry) {
 	}
 }
 
-// killFinst squashes a front-end instruction.
-func (m *Machine) killFinst(f *finst) {
-	m.Stats.Killed++
-	if m.tracer != nil {
-		m.emit(TraceKill, f.seq, f.pc, f.path, f.tag, "")
-	}
-	if f.isBranch || f.isIndirect {
-		f.path.pendingBranches--
-		defer m.maybeReclaimZombie(f.path)
-	}
-	if f.diverged {
-		m.divergences--
-		m.ctxAlloc.Free(f.histPos)
-	}
-	m.freeFinst(f)
-}
-
 // broadcastClear is the branch commit bus (Sec. 3.2.2/3.2.3): when a
 // divergent branch commits, its history position is invalidated in every
 // in-flight CTX tag so the position can be reused.
@@ -491,10 +477,8 @@ func (m *Machine) broadcastClear(pos int) {
 			f.tag = f.tag.ClearPosition(pos)
 		}
 	}
-	for _, p := range m.paths {
-		if p != nil {
-			p.tag = p.tag.ClearPosition(pos)
-		}
+	for _, p := range m.live {
+		p.tag = p.tag.ClearPosition(pos)
 	}
 }
 

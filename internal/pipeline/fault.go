@@ -87,8 +87,8 @@ func (m *Machine) InjectFault(kind Fault, arg uint64) bool {
 		if !ok {
 			return false
 		}
-		for _, p := range m.paths {
-			if p != nil && p.regmap != nil {
+		for i := range m.slots {
+			if p := &m.slots[i].path; p.live && p.regmap != nil {
 				p.regmap.Set(0, fr)
 				return true
 			}
@@ -119,7 +119,7 @@ func (m *Machine) InjectFault(kind Fault, arg uint64) bool {
 		m.freeList.FlipInUse(rename.PhysReg(arg % uint64(m.freeList.Total())))
 		return true
 	case FaultCtxTagFlip:
-		victim := m.pickEntry(arg, func(e *entry) bool { return m.paths[e.path.id] == e.path })
+		victim := m.pickEntry(arg, (*entry).onLivePath)
 		if victim == nil {
 			return false
 		}

@@ -19,26 +19,16 @@ func (m *Machine) fetch() {
 	if len(m.frontEnd[0]) > 0 {
 		return // stage 0 latch stalled
 	}
+	// The live list is already in creation order.
 	fps := m.fpsScratch[:0]
-	for _, p := range m.paths {
-		if p != nil && p.fetching && !p.halted && m.cycle >= p.fetchStallUntil {
+	for _, p := range m.live {
+		if p.fetching && !p.halted && m.cycle >= p.fetchStallUntil {
 			fps = append(fps, p)
 		}
 	}
 	m.fpsScratch = fps
 	if len(fps) == 0 {
 		return
-	}
-	// Insertion sort by creation order; seqNo is unique, so this yields the
-	// same order sort.Slice did, without the per-cycle reflection cost.
-	for i := 1; i < len(fps); i++ {
-		p := fps[i]
-		j := i - 1
-		for j >= 0 && fps[j].seqNo > p.seqNo {
-			fps[j+1] = fps[j]
-			j--
-		}
-		fps[j+1] = p
 	}
 
 	bw := m.policyFetchWidth()
@@ -75,7 +65,7 @@ func (m *Machine) fetch() {
 // predicted directions (fetch may cross basic blocks within one cycle) and
 // creating a divergence when the confidence estimator flags a branch as
 // low confidence. Returns the number of instructions fetched.
-func (m *Machine) fetchPath(p *path, grant int, out *[]*finst) int {
+func (m *Machine) fetchPath(p *path, grant int, out *[]*entry) int {
 	n := 0
 	for n < grant && p.fetching && !p.halted {
 		pc := p.fetchPC
@@ -96,9 +86,7 @@ func (m *Machine) fetchPath(p *path, grant int, out *[]*finst) int {
 			}
 		}
 		in := m.prog.Code[pc]
-		m.seq++
-		f := m.allocFinst()
-		f.seq, f.pc, f.inst, f.path, f.tag = m.seq, pc, in, p, p.tag
+		f := m.fetchEntry(p, pc, in)
 		switch m.deco[pc].kind {
 		case fkJmp:
 			// Direct jump: the target is known at fetch; redirect with no
@@ -137,7 +125,7 @@ func (m *Machine) fetchPath(p *path, grant int, out *[]*finst) int {
 // fetchBranch predicts a conditional branch, consults the confidence
 // estimator, and either follows the prediction (coherent branch) or
 // creates a divergence (selective eager execution).
-func (m *Machine) fetchBranch(p *path, f *finst) {
+func (m *Machine) fetchBranch(p *path, f *entry) {
 	pc := f.pc
 	// Trace cursor: the oracle predictor and oracle confidence estimator
 	// need the actual outcome, which is known at fetch only while this
@@ -197,7 +185,7 @@ func (m *Machine) fetchBranch(p *path, f *finst) {
 // tryDiverge creates a divergence at branch f if context resources allow:
 // a free CTX history position, two free CTX table entries, and (for the
 // dual-path restriction of Sec. 5.2) an available divergence slot.
-func (m *Machine) tryDiverge(p *path, f *finst, actualKnown, actualTaken bool) bool {
+func (m *Machine) tryDiverge(p *path, f *entry, actualKnown, actualTaken bool) bool {
 	if limit := m.divergenceLimit(); limit > 0 && m.divergences >= limit {
 		return false
 	}
@@ -216,43 +204,31 @@ func (m *Machine) tryDiverge(p *path, f *finst, actualKnown, actualTaken bool) b
 	// The predicted successor is created first so it sits ahead of its
 	// sibling in the fetch priority order: the likely continuation keeps
 	// most of the bandwidth, the hedge path gets the decayed remainder.
-	childTrace := p.traceIdx + 1
-	mkTaken := func() {
-		f.childT = m.newPath(
-			p.tag.WithPosition(pos, true),
-			int(f.inst.Target),
-			bpred.PushHistory(p.ghr, true),
-			p.onTrace && actualKnown && actualTaken,
-			childTrace,
+	child := func(taken bool) *path {
+		fetchPC := f.pc + 1
+		if taken {
+			fetchPC = int(f.inst.Target)
+		}
+		c := m.newPath(
+			p.tag.WithPosition(pos, taken),
+			fetchPC,
+			bpred.PushHistory(p.ghr, taken),
+			p.onTrace && actualKnown && actualTaken == taken,
+			p.traceIdx+1,
 		)
 		if m.hasCallRet {
-			f.childT.ras = p.ras.Clone()
-		} else {
-			f.childT.ras = p.ras
+			c.ras.CopyFrom(p.ras)
 		}
-	}
-	mkNotTaken := func() {
-		f.childN = m.newPath(
-			p.tag.WithPosition(pos, false),
-			f.pc+1,
-			bpred.PushHistory(p.ghr, false),
-			p.onTrace && actualKnown && !actualTaken,
-			childTrace,
-		)
-		if m.hasCallRet {
-			f.childN.ras = p.ras.Clone()
-		} else {
-			f.childN.ras = p.ras
-		}
+		return c
 	}
 	if f.predTaken {
-		mkTaken()
-		mkNotTaken()
+		f.childT = child(true)
+		f.childN = child(false)
 	} else {
-		mkNotTaken()
-		mkTaken()
+		f.childN = child(false)
+		f.childT = child(true)
 	}
-	// The children's register maps are cloned from the parent when the
+	// The children's register maps are copied from the parent when the
 	// branch reaches rename (the front end is in order, so every child
 	// instruction renames after the branch).
 	p.fetching = false
@@ -260,11 +236,11 @@ func (m *Machine) tryDiverge(p *path, f *finst, actualKnown, actualTaken bool) b
 	return true
 }
 
-// snapshotRAS captures the path's return-address stack into the finst's
-// persistent snapshot buffer (allocated once per pooled finst, reused for
-// the rest of the machine's lifetime).
-func (m *Machine) snapshotRAS(f *finst, p *path) {
-	if f.rasSnap == nil {
+// snapshotRAS captures the path's return-address stack into the entry's
+// persistent snapshot buffer (allocated once per pooled entry and reused
+// until an arena hands the entry to a machine of another RAS depth).
+func (m *Machine) snapshotRAS(f *entry, p *path) {
+	if f.rasSnap == nil || f.rasSnap.Depth() != m.cfg.RASDepth {
 		f.rasSnap = bpred.NewRAS(m.cfg.RASDepth)
 	}
 	f.rasSnap.CopyFrom(p.ras)
@@ -274,7 +250,7 @@ func (m *Machine) snapshotRAS(f *finst, p *path) {
 // miss the path stalls until the jump resolves (a real fetch unit has no
 // address to follow); on a hit fetch continues at the predicted target and
 // a wrong prediction is repaired by checkpoint recovery at resolution.
-func (m *Machine) fetchIndirect(p *path, f *finst) {
+func (m *Machine) fetchIndirect(p *path, f *entry) {
 	pc := f.pc
 	f.isIndirect = true
 	f.ghrAtPredict = p.ghr

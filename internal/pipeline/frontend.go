@@ -22,11 +22,9 @@ func (m *Machine) rename() {
 	latch := m.frontEnd[len(m.frontEnd)-1]
 	consumed := 0
 	for consumed < len(latch) && consumed < m.cfg.RenameWidth {
-		f := latch[consumed]
-		if !m.renameOne(f) {
+		if !m.renameOne(latch[consumed]) {
 			break
 		}
-		m.freeFinst(f)
 		consumed++
 	}
 	if consumed == len(latch) {
@@ -39,61 +37,40 @@ func (m *Machine) rename() {
 	}
 }
 
-// renameOne renames and dispatches a single instruction. It returns false
-// on a structural stall, leaving the instruction in the latch.
-func (m *Machine) renameOne(f *finst) bool {
+// renameOne renames and dispatches a single instruction: it completes the
+// entry fetch started and pushes it into the window. It returns false on a
+// structural stall, leaving the instruction in the latch.
+func (m *Machine) renameOne(e *entry) bool {
 	if len(m.window) >= m.cfg.WindowSize {
 		return false
 	}
-	p := f.path
-	op := f.inst.Op
-	d := &m.deco[f.pc]
-	hasDest := d.hasDest
-	if hasDest && m.freeList.Available() == 0 {
+	p := e.path
+	d := &m.deco[e.pc]
+	if d.hasDest && m.freeList.Available() == 0 {
 		return false
 	}
-	if (f.isBranch || f.isIndirect) && m.ckpts.Available() == 0 {
+	isCtl := e.isBranch || e.isIndirect
+	if isCtl && m.ckpts.Available() == 0 {
 		return false
 	}
 
-	// Zero the pooled entry in place and fill it field by field: a
-	// composite literal would be built aside and copied in whole.
-	e := m.allocEntry()
-	*e = entry{}
-	e.seq = f.seq
-	e.pc = f.pc
-	e.inst = f.inst
-	e.path = p
-	e.tag = f.tag
 	e.class = d.class
 	e.lat = d.lat
 	e.isLoad = d.isLoad
 	e.isStore = d.isStore
-	e.isBranch = f.isBranch
-	e.isIndirect = f.isIndirect
-	e.isRet = f.isRet
-	e.predTarget = f.predTarget
-	e.predTargetOK = f.predTargetOK
-	e.predTaken = f.predTaken
-	e.lowConf = f.lowConf
-	e.diverged = f.diverged
-	e.histPos = f.histPos
-	e.ghrAtPredict = f.ghrAtPredict
-	e.onTrace = f.onTrace
-	e.traceIdx = f.traceIdx
 	if d.readsSrc1 {
 		e.readsSrc1 = true
-		e.src1Phys = p.regmap.Get(f.inst.Src1)
+		e.src1Phys = p.regmap.Get(e.inst.Src1)
 	}
 	if d.readsSrc2 {
 		e.readsSrc2 = true
-		e.src2Phys = p.regmap.Get(f.inst.Src2)
+		e.src2Phys = p.regmap.Get(e.inst.Src2)
 	}
-	if f.isBranch || f.isIndirect {
+	if isCtl {
 		// Checkpoint the register map and pre-prediction history for
 		// misprediction recovery (coherent branches) or, for divergent
 		// branches, as the second map copy the paper accounts for.
-		id, ok := m.ckpts.Take(p.regmap, f.ghrAtPredict)
+		id, ok := m.ckpts.Take(p.regmap, e.ghrAtPredict)
 		if !ok {
 			return false
 		}
@@ -104,26 +81,26 @@ func (m *Machine) renameOne(f *finst) bool {
 		// fetch (post-pop for returns) rides along with the checkpoint,
 		// copied into the slot's preallocated buffer.
 		if m.hasCallRet {
-			m.ckptRAS[id].CopyFrom(f.rasSnap)
+			m.ckptRAS[id].CopyFrom(e.rasSnap)
 		}
-		if f.diverged {
-			f.childT.regmap = p.regmap.Clone()
-			f.childN.regmap = p.regmap.Clone()
+		if e.diverged {
+			m.setMap(e.childT, p.regmap)
+			m.setMap(e.childN, p.regmap)
 		}
 	}
-	if hasDest {
+	if d.hasDest {
 		np, ok := m.freeList.Alloc()
 		if !ok {
 			// Cannot happen: availability checked above, and the branch
 			// path allocates no registers in between.
-			m.machineCheckf("free-list", f.pc, "free list exhausted after availability check (raced)")
+			m.machineCheckf("free-list", e.pc, "free list exhausted after availability check (raced)")
 		}
 		e.hasDest = true
 		e.dstPhys = np
-		e.oldPhys = p.regmap.Set(f.inst.Dst, np)
+		e.oldPhys = p.regmap.Set(e.inst.Dst, np)
 		m.physReady.Clear(np)
 	}
-	if op == isa.Nop || op == isa.Halt {
+	if op := e.inst.Op; op == isa.Nop || op == isa.Halt {
 		e.state = stateDone // no functional unit needed
 	}
 	m.windowPush(e)

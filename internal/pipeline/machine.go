@@ -23,15 +23,20 @@ const (
 	stateDone
 )
 
-// entry is one instruction window (reorder buffer) slot. Each entry also
-// carries the small CTX state machine of Fig. 6 via its tag, which the
-// resolution and commit buses operate on.
+// entry is one dynamic instruction, from fetch to commit: fetch fills in
+// what it knows and the entry rides the front-end latches, then rename
+// completes it and pushes the same record into the instruction window
+// (reorder buffer). Each entry also carries the small CTX state machine of
+// Fig. 6 via its tag, which the resolution and commit buses operate on.
 type entry struct {
 	seq  uint64
 	pc   int
 	inst isa.Inst
 	path *path
-	tag  ctxtag.Tag
+	// pathSeqNo is path.seqNo when the entry was fetched. CTX slots are
+	// reused, so a path is identified by (pointer, seqNo); see onLivePath.
+	pathSeqNo uint64
+	tag       ctxtag.Tag
 
 	// Predecoded issue metadata (copied from the machine's deco table at
 	// rename so issue never indexes it).
@@ -75,6 +80,22 @@ type entry struct {
 	outcome      bool
 	onTrace      bool
 	traceIdx     int
+
+	// rasSnap captures the path's return-address stack at fetch (after a
+	// return's pop); it becomes the checkpoint's RAS snapshot at rename.
+	// The buffer survives pooling, so snapshots stop allocating once
+	// every pooled entry has one.
+	rasSnap *bpred.RAS
+	// childT and childN are a divergent branch's successor paths, whose
+	// register maps are set when the branch renames.
+	childT *path
+	childN *path
+}
+
+// onLivePath reports whether the path that fetched e still occupies its
+// CTX slot: the slot is live and has not been reused by a younger path.
+func (e *entry) onLivePath() bool {
+	return e.path.live && e.path.seqNo == e.pathSeqNo
 }
 
 // path is one CTX-table entry (Fig. 7): a live execution path with its own
@@ -96,14 +117,25 @@ type path struct {
 
 	fetchPC int
 	ghr     uint64
-	ras     *bpred.RAS
-	regmap  *rename.Map
+	// ras is the slot's return-address stack. It survives the slot's
+	// reuse and is used only when the program has calls or returns.
+	ras    *bpred.RAS
+	regmap *rename.Map // the slot's map once the path has one (nil before)
 	// fetchStallUntil blocks fetch on this path until the given cycle
 	// (instruction cache miss refill).
 	fetchStallUntil uint64
 
 	onTrace  bool
 	traceIdx int
+}
+
+// ctxSlot is the storage of one CTX-table entry. The slot owns the path
+// state, including its return-address stack, and the register map a path
+// in it uses, so creating a path reinitializes the slot in place and
+// allocates nothing.
+type ctxSlot struct {
+	path   path
+	regmap rename.Map
 }
 
 // deco is the per-PC predecoded metadata table entry: everything the
@@ -130,34 +162,6 @@ const (
 	fkCall
 	fkIndirect
 )
-
-// finst is an instruction in flight in the in-order front end.
-type finst struct {
-	seq  uint64
-	pc   int
-	inst isa.Inst
-	path *path
-	tag  ctxtag.Tag
-
-	// Branch metadata captured at fetch.
-	isBranch     bool
-	isIndirect   bool
-	isRet        bool
-	predTarget   int
-	predTargetOK bool
-	predTaken    bool
-	// rasSnap captures the path's return-address stack at fetch (after a
-	// return's pop); it becomes the checkpoint's RAS snapshot at rename.
-	rasSnap      *bpred.RAS
-	lowConf      bool
-	diverged     bool
-	histPos      int
-	ghrAtPredict uint64
-	onTrace      bool
-	traceIdx     int
-	childT       *path
-	childN       *path
-}
 
 // Machine is the simulated processor bound to one program.
 type Machine struct {
@@ -188,13 +192,16 @@ type Machine struct {
 	refCount uint64      // dynamic instructions the reference run executed
 
 	// Context management.
-	ctxAlloc    *ctxtag.Allocator
-	paths       []*path // slot table, len MaxPaths
+	ctxAlloc *ctxtag.Allocator
+	slots    []ctxSlot // the CTX table, len MaxPaths; a slot is free when its path is not live
+	// live lists the live paths in creation (seqNo) order: the fetch
+	// priority order.
+	live        []*path
 	pathSeq     uint64
 	divergences int // unresolved divergent branches in flight
 
 	// Pipeline structures.
-	frontEnd [][]*finst // FrontEndStages latches, each up to FetchWidth
+	frontEnd [][]*entry // FrontEndStages latches, each up to FetchWidth
 	window   []*entry   // seq-ordered, alive entries only: winBuf[winOff : winOff+len]
 	winBuf   []*entry   // window backing array, compacted when the tail is reached
 	winOff   int        // offset of window[0] in winBuf
@@ -211,13 +218,11 @@ type Machine struct {
 	deco []deco
 
 	// Object pools and per-cycle scratch buffers. The steady-state cycle
-	// loop allocates nothing: window entries, front-end instructions and
-	// latch slices are recycled, and fetch reuses its scratch space.
+	// loop allocates nothing: entries and latch slices are recycled, CTX
+	// slots own their paths' buffers, and fetch reuses its scratch space.
 	entryPool  []*entry
-	finstPool  []*finst
-	latchPool  [][]*finst
+	latchPool  [][]*entry
 	fpsScratch []*path
-	livePaths  int // live CTX-table entries (maintained by newPath/releasePath)
 
 	// Optional memory hierarchy (nil when the paper's always-hit
 	// assumption is in effect).
@@ -258,8 +263,8 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 
 // NewWithArena is New drawing the machine's large allocations — memory
 // page table and private pages, register file, window backing array and
-// SoA scheduler state, completion ring, predecode table, object pools —
-// from a (see arena.go).
+// SoA scheduler state, completion ring, predecode table, CTX slots,
+// object pools — from a (see arena.go).
 // A nil arena behaves exactly like New. The caller donates the buffers
 // back with Machine.Recycle once the simulation is finished; results are
 // bit-identical with or without an arena.
@@ -303,11 +308,25 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		interp:    ref,
 		refCount:  ref.InstCount,
 		ctxAlloc:  ctxtag.NewAllocator(cfg.CtxHistoryWidth),
-		paths:     a.takePaths(cfg.MaxPaths),
 		frontEnd:  a.takeFrontEnd(cfg.FrontEndStages),
 	}
 	a.ready = rename.ReadySet{}
-	m.entryPool, m.finstPool, m.latchPool, m.fpsScratch = a.takePools(cfg.RASDepth)
+	for _, in := range prog.Code {
+		if in.Op == isa.Call || in.Op == isa.Ret {
+			m.hasCallRet = true
+			break
+		}
+	}
+	m.slots = a.takeSlots(cfg.MaxPaths)
+	m.live = make([]*path, 0, cfg.MaxPaths)
+	if m.hasCallRet {
+		for i := range m.slots {
+			if r := m.slots[i].path.ras; r == nil || r.Depth() != cfg.RASDepth {
+				m.slots[i].path.ras = bpred.NewRAS(cfg.RASDepth)
+			}
+		}
+	}
+	m.entryPool, m.latchPool, m.fpsScratch = a.takePools()
 	m.auditInts, m.auditBools = a.takeAudit()
 	// The completion ring must cover the longest possible operation
 	// latency (integer multiply, plus the D-cache miss penalty when the
@@ -350,12 +369,6 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		return nil, err
 	}
 	m.btb = bpred.NewBTB(cfg.BTBBits)
-	for _, in := range prog.Code {
-		if in.Op == isa.Call || in.Op == isa.Ret {
-			m.hasCallRet = true
-			break
-		}
-	}
 	// Checkpoint RAS snapshots are preallocated per slot and overwritten in
 	// place (CopyFrom) when a branch renames, so the per-branch snapshot
 	// never allocates in steady state.
@@ -408,61 +421,54 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	m.Stats.WindowHist = stats.NewHistogram(cfg.WindowSize)
 	m.Stats.CommitHist = stats.NewHistogram(cfg.CommitWidth)
 
-	// Root path: the architectural execution stream.
+	// Root path: the architectural execution stream, starting from the
+	// identity map and an empty return-address stack.
 	root := m.newPath(ctxtag.Root(), 0, 0, true, 0)
-	root.regmap = rename.NewIdentityMap()
-	root.ras = bpred.NewRAS(cfg.RASDepth)
+	m.setMap(root, m.retireMap)
+	if m.hasCallRet {
+		root.ras.Reset()
+	}
 	return m, nil
 }
 
-// allocEntry takes a window entry from the pool (or the heap when the pool
-// is dry). Callers overwrite every field, so no reset happens here.
-func (m *Machine) allocEntry() *entry {
+// fetchEntry takes an entry from the pool (or the heap when the pool is
+// dry) for an instruction fetched on p, zeroed except for its RAS snapshot
+// buffer, and fills in the fields every fetched instruction has.
+func (m *Machine) fetchEntry(p *path, pc int, in isa.Inst) *entry {
+	var e *entry
 	if n := len(m.entryPool); n > 0 {
-		e := m.entryPool[n-1]
+		e = m.entryPool[n-1]
 		m.entryPool = m.entryPool[:n-1]
-		return e
+		snap := e.rasSnap
+		*e = entry{}
+		e.rasSnap = snap
+	} else {
+		e = new(entry)
 	}
-	return new(entry)
+	m.seq++
+	e.seq, e.pc, e.inst = m.seq, pc, in
+	e.path, e.pathSeqNo, e.tag = p, p.seqNo, p.tag
+	return e
 }
 
-// freeEntry recycles a window entry. The entry must no longer be reachable
-// from the window, the completion ring, or any scratch buffer in use.
+// freeEntry recycles an entry. It must no longer be reachable from a
+// latch, the window, the completion ring, or any scratch buffer in use.
 func (m *Machine) freeEntry(e *entry) {
 	m.entryPool = append(m.entryPool, e)
 }
 
-// allocFinst takes a front-end instruction from the pool, fully reset. The
-// RAS snapshot buffer (if one was ever allocated for this object) is kept
-// so per-branch snapshots are allocation-free in steady state.
-func (m *Machine) allocFinst() *finst {
-	if n := len(m.finstPool); n > 0 {
-		f := m.finstPool[n-1]
-		m.finstPool = m.finstPool[:n-1]
-		snap := f.rasSnap
-		*f = finst{rasSnap: snap}
-		return f
-	}
-	return new(finst)
-}
-
-// freeFinst recycles a front-end instruction.
-func (m *Machine) freeFinst(f *finst) {
-	m.finstPool = append(m.finstPool, f)
-}
-
 // allocLatch takes an empty front-end latch slice from the pool.
-func (m *Machine) allocLatch() []*finst {
+func (m *Machine) allocLatch() []*entry {
 	if n := len(m.latchPool); n > 0 {
 		l := m.latchPool[n-1]
 		m.latchPool = m.latchPool[:n-1]
 		return l[:0]
 	}
-	return make([]*finst, 0, m.cfg.FetchWidth)
+	return make([]*entry, 0, m.cfg.FetchWidth)
 }
 
 // freeLatch recycles a latch slice's backing storage.
-func (m *Machine) freeLatch(l []*finst) {
+func (m *Machine) freeLatch(l []*entry) {
 	m.latchPool = append(m.latchPool, l[:0])
 }
 
@@ -485,42 +491,56 @@ func (m *Machine) windowPush(e *entry) {
 	m.soaSet(pos, e)
 }
 
-// newPath allocates a CTX-table slot. Callers must have verified a slot is
-// free (freePathSlots > 0).
+// newPath reinitializes a free CTX-table slot for a new path and appends
+// the path to the live list. Callers must have verified a slot is free
+// (freePathSlots > 0).
 func (m *Machine) newPath(tag ctxtag.Tag, fetchPC int, ghr uint64, onTrace bool, traceIdx int) *path {
-	for i, p := range m.paths {
-		if p == nil {
-			m.pathSeq++
-			np := &path{
-				id: i, seqNo: m.pathSeq, tag: tag,
-				live: true, fetching: true,
-				fetchPC: fetchPC, ghr: ghr,
-				onTrace: onTrace, traceIdx: traceIdx,
-			}
-			m.paths[i] = np
-			m.livePaths++
-			return np
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.path.live {
+			continue
 		}
+		m.pathSeq++
+		s.path = path{
+			id: i, seqNo: m.pathSeq, tag: tag,
+			live: true, fetching: true,
+			fetchPC: fetchPC, ghr: ghr, ras: s.path.ras,
+			onTrace: onTrace, traceIdx: traceIdx,
+		}
+		m.live = append(m.live, &s.path)
+		return &s.path
 	}
-	m.machineCheckf("ctx-refcount", fetchPC, "newPath with no free CTX slot (%d live of %d)", m.livePaths, len(m.paths))
+	m.machineCheckf("ctx-refcount", fetchPC, "newPath with no free CTX slot (%d live of %d)", len(m.live), len(m.slots))
 	return nil
 }
 
+// setMap gives p its slot's register map, copied from src.
+func (m *Machine) setMap(p *path, src *rename.Map) {
+	mp := &m.slots[p.id].regmap
+	mp.CopyFrom(src)
+	p.regmap = mp
+}
+
 func (m *Machine) freePathSlots() int {
-	return len(m.paths) - m.livePaths
+	return len(m.slots) - len(m.live)
 }
 
 func (m *Machine) livePathCount() int {
-	return m.livePaths
+	return len(m.live)
 }
 
-// releasePath frees a CTX-table slot.
+// releasePath frees a CTX-table slot and drops the path from the live
+// list, keeping the list in creation order.
 func (m *Machine) releasePath(p *path) {
 	p.live = false
 	p.fetching = false
 	p.regmap = nil
-	m.paths[p.id] = nil
-	m.livePaths--
+	for i, q := range m.live {
+		if q == p {
+			m.live = append(m.live[:i], m.live[i+1:]...)
+			break
+		}
+	}
 }
 
 // maybeReclaimZombie frees a diverged parent whose obligations are done:

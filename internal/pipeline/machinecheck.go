@@ -115,7 +115,7 @@ func (m *Machine) snapshot() StateSnapshot {
 		Cycle:           m.cycle,
 		Committed:       m.Stats.Committed,
 		WindowLen:       len(m.window),
-		LivePaths:       m.livePaths,
+		LivePaths:       len(m.live),
 		FreeRegs:        m.freeList.Available(),
 		FreeCheckpoints: m.ckpts.Available(),
 		Divergences:     m.divergences,

@@ -106,14 +106,10 @@ func (m *Machine) injectMRC(p *path) bool {
 	for _, pci := range seq {
 		pc := int(pci)
 		in := m.prog.Code[pc]
-		m.seq++
-		f := m.allocFinst()
-		f.seq, f.pc, f.inst, f.path, f.tag = m.seq, pc, in, p, p.tag
-		switch in.Op {
-		case isa.Call:
+		if in.Op == isa.Call {
 			p.ras.Push(pc + 1)
 		}
-		injected = append(injected, f)
+		injected = append(injected, m.fetchEntry(p, pc, in))
 	}
 	if len(injected) == 0 {
 		m.freeLatch(injected)

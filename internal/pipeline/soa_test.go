@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/isa/progfuzz"
 	"repro/internal/rename"
 	"repro/internal/workload"
@@ -157,28 +158,36 @@ type statKey struct {
 	mispred, divergences      uint64
 	forwards, loads           uint64
 	dAcc, dMiss               uint64
+	indirect, indirectMiss    uint64
 }
 
 func keyOf(m *Machine) statKey {
 	return statKey{
-		cycles:      m.Stats.Cycles,
-		committed:   m.Stats.Committed,
-		killed:      m.Stats.Killed,
-		mispred:     m.Stats.Mispredicts,
-		divergences: m.Stats.Divergences,
-		forwards:    m.Stats.StoreForwards,
-		loads:       m.Stats.LoadsExecuted,
-		dAcc:        m.Stats.DCacheAccesses,
-		dMiss:       m.Stats.DCacheMisses,
+		cycles:       m.Stats.Cycles,
+		committed:    m.Stats.Committed,
+		killed:       m.Stats.Killed,
+		mispred:      m.Stats.Mispredicts,
+		divergences:  m.Stats.Divergences,
+		forwards:     m.Stats.StoreForwards,
+		loads:        m.Stats.LoadsExecuted,
+		dAcc:         m.Stats.DCacheAccesses,
+		dMiss:        m.Stats.DCacheMisses,
+		indirect:     m.Stats.IndirectJumps,
+		indirectMiss: m.Stats.IndirectMispredicts,
 	}
 }
 
 // TestArenaRecyclingBitIdentical runs a mixed cell sequence — different
-// programs AND different machine shapes (window, register file, RAS
-// depth) back to back — twice: once allocating fresh, once recycling
-// through a single shared arena. Every cell must produce bit-identical
-// statistics, which means every arena-drawn buffer was reset exactly like
-// a fresh allocation even when a larger previous machine donated it.
+// programs AND different machine shapes (window, register file, CTX
+// table, RAS depth) back to back — twice: once allocating fresh, once
+// recycling through a single shared arena. Every cell must produce
+// bit-identical statistics, which means every arena-drawn buffer was
+// reset exactly like a fresh allocation even when a larger previous
+// machine donated it. The call/return program makes the CTX slots' stacks
+// and the pooled entries' snapshot buffers live. The sequence changes the
+// RAS depth while the CTX table shrinks and then grows again, so slots
+// past a narrow machine's MaxPaths come back with stacks sized for an
+// earlier machine and must be resized.
 func TestArenaRecyclingBitIdentical(t *testing.T) {
 	small := DefaultConfig()
 	small.WindowSize = 32
@@ -186,21 +195,33 @@ func TestArenaRecyclingBitIdentical(t *testing.T) {
 	small.Checkpoints = 8
 	small.MaxPaths = 4
 	small.CtxHistoryWidth = 3
+	shallow := DefaultConfig()
+	shallow.RASDepth = 4
+	narrow := DefaultConfig()
+	narrow.MaxPaths = 4
+	narrow.RASDepth = 4
 
 	progs := []struct {
 		name string
-		n    int
-	}{{"sum-large", 400}, {"sum-small", 50}, {"sum-mid", 200}}
+		prog *isa.Program
+	}{
+		{"sum-large", sumProgram(400)},
+		{"call", callProgram(3000)},
+		{"sum-small", sumProgram(50)},
+		{"sum-mid", sumProgram(200)},
+	}
 	cfgs := map[string]Config{
 		"default": DefaultConfig(),
 		"small":   small,
+		"shallow": shallow,
+		"narrow":  narrow,
 	}
 
 	run := func(a *Arena) []statKey {
 		var keys []statKey
 		for _, p := range progs {
-			prog := sumProgram(p.n)
-			for _, cn := range []string{"default", "small", "default"} {
+			prog := p.prog
+			for _, cn := range []string{"default", "narrow", "shallow", "small", "default"} {
 				m, err := NewWithArena(prog, cfgs[cn], a)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", p.name, cn, err)

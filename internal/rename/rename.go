@@ -45,14 +45,8 @@ func (mp *Map) Set(r isa.Reg, p PhysReg) (old PhysReg) {
 	return old
 }
 
-// Clone returns an independent copy — the checkpoint operation, and the way
-// a divergent branch gives each successor path its own map.
-func (mp *Map) Clone() *Map {
-	c := *mp
-	return &c
-}
-
-// CopyFrom overwrites mp with the contents of src (checkpoint restore).
+// CopyFrom overwrites mp with the contents of src: checkpoint restore, and
+// the way a divergent branch gives each successor path its own map.
 func (mp *Map) CopyFrom(src *Map) { mp.m = src.m }
 
 // FreeList manages the pool of unallocated physical registers.

@@ -27,17 +27,18 @@ func TestMapSetReturnsOld(t *testing.T) {
 	}
 }
 
-func TestMapCloneIsIndependent(t *testing.T) {
+func TestMapCopyIsIndependent(t *testing.T) {
 	mp := NewIdentityMap()
 	mp.Set(3, 50)
-	c := mp.Clone()
+	var c Map
+	c.CopyFrom(mp)
 	c.Set(3, 60)
 	mp.Set(4, 70)
 	if mp.Get(3) != 50 {
-		t.Error("clone write leaked into original")
+		t.Error("copy write leaked into original")
 	}
-	if c.Get(4) != 4 {
-		t.Error("original write leaked into clone")
+	if c.Get(3) != 60 || c.Get(4) != 4 {
+		t.Error("original write leaked into copy")
 	}
 }
 
@@ -192,13 +193,15 @@ func TestCheckpointsMisusePanics(t *testing.T) {
 	})
 }
 
-// The divergent-branch pattern from the paper: clone the map twice, run the
-// two paths independently, kill one, continue the other.
+// The divergent-branch pattern from the paper: copy the map into both
+// successor paths' maps, run the two paths independently, kill one,
+// continue the other.
 func TestDivergentMapUsage(t *testing.T) {
 	parent := NewIdentityMap()
 	parent.Set(1, 40)
-	taken := parent.Clone()
-	notTaken := parent.Clone()
+	var taken, notTaken Map
+	taken.CopyFrom(parent)
+	notTaken.CopyFrom(parent)
 	taken.Set(2, 41)
 	notTaken.Set(2, 42)
 	if taken.Get(2) == notTaken.Get(2) {

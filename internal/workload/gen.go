@@ -246,9 +246,14 @@ func build(spec Spec) (*isa.Program, error) {
 				if br.PhaseLen > 0 && (w/br.PhaseLen)%2 == 1 {
 					bias = br.Bias2
 				}
+				// Store the draw unconditionally: the compiler computes
+				// the bit with a compare-and-set, where a guarded store
+				// is a branch that mispredicts on up to half the words.
+				var bit int64
 				if rng.Float64() < bias {
-					words[w] = 1
+					bit = 1
 				}
+				words[w] = bit
 			}
 			streamBase[i] = base
 		case KindSwitch:
