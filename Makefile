@@ -3,9 +3,7 @@ INSTS ?= 400000
 BENCHTIME ?= 2s
 FUZZTIME ?= 30s
 
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
-
-.PHONY: all build test race vet fmt-check check bench bench-smoke benchreport bench-diff bench-scaling experiments experiments-check serve-smoke chaos-smoke trace-smoke char-smoke soak-smoke adaptive-smoke fuzz-smoke cover-sched clean
+.PHONY: all build test race vet fmt-check check bench bench-smoke bench-ab experiments experiments-check serve-smoke chaos-smoke trace-smoke char-smoke soak-smoke adaptive-smoke fuzz-smoke cover-sched clean
 
 all: build
 
@@ -42,34 +40,24 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# benchreport runs the suite and writes a BENCH_<date>.json snapshot with
-# ns/op, allocs/op, simulated-instructions-per-second and the hmean-IPC
-# correctness fingerprint. See cmd/benchreport.
-benchreport:
-	$(GO) run ./cmd/benchreport -benchtime $(BENCHTIME)
-
-# bench-diff is the performance regression gate: rerun the hot-path
-# benchmarks and fail when cycle-loop, renamer, or harness ns/op regress
-# by more than 20% against the newest committed BENCH_*.json snapshot.
-# A legitimate slowdown (e.g. a feature that buys accuracy with cycles)
-# ships by refreshing the snapshot in the same PR — or, in CI, by
-# applying the `bench-regression-ok` label, which skips this job.
-bench-diff:
-	@test -n "$(BENCH_BASELINE)" || { echo "bench-diff: no committed BENCH_*.json baseline found"; exit 1; }
-	@echo "bench-diff: comparing against $(BENCH_BASELINE)"
-	$(GO) run ./cmd/benchreport -benchtime $(BENCHTIME) \
-		-bench 'CycleLoop|Renamer|Harness' -fingerprint-insts 0 \
-		-baseline $(BENCH_BASELINE) -max-regress 1.20 -gate 'CycleLoop|Renamer|Harness' \
-		-out bench-diff.json
-
-# bench-scaling measures the sharded harness at j1/j2/j4/j8 and records
-# host core count + GOMAXPROCS into bench-scaling.json. With >= 4 CPUs
-# the j4/j1 speedup must reach 1.5x (the CI multi-core gate); on smaller
-# hosts the gate reports and passes.
-bench-scaling:
-	$(GO) run ./cmd/benchreport -benchtime $(BENCHTIME) \
-		-bench 'HarnessParallel' -fingerprint-insts 0 \
-		-min-scaling 1.5 -out bench-scaling.json
+# bench-ab is the performance regression gate. It builds the root
+# package's test binary at the merge base of BASE and HEAD (in a
+# temporary git worktree) and from the working tree, then runs
+# cmd/benchab on the two: 20 alternating pairs of 1 s runs of the
+# CycleLoop, Renamer and HarnessSweep benchmarks, failing only when the
+# head is slower with 99% confidence, plus the j4/j1 >= 1.5x harness
+# scaling floor on hosts with at least 4 CPUs. It takes about 5 minutes;
+# run nothing else heavy meanwhile. Usage: make bench-ab BASE=main
+bench-ab:
+	@test -n "$(BASE)" || { echo "bench-ab: set BASE=<rev>, e.g. make bench-ab BASE=main"; exit 1; }
+	@set -e; tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	base=$$(git merge-base $(BASE) HEAD); \
+	echo "bench-ab: base $$base (merge base of $(BASE) and HEAD), head the working tree"; \
+	git worktree add --quiet --detach "$$tmp/base" $$base; \
+	(cd "$$tmp/base" && $(GO) test -c -o "$$tmp/base.test" .); \
+	$(GO) test -c -o "$$tmp/head.test" .; \
+	$(GO) run ./cmd/benchab "$$tmp/base.test" "$$tmp/head.test"
 
 # experiments regenerates the paper's tables (Figures 8-12 + ablations).
 experiments:
@@ -144,7 +132,8 @@ chaos-smoke:
 # seed corpus, one run per target (go test -fuzz takes one target at a
 # time): the pipeline-vs-interpreter differential oracle, the
 # copy-on-write memory against a flat model, the PBT1 trace decoder, the
-# config-document decoder, and polyserve's journal loader.
+# config-document decoder, polyserve's journal loader, and polyserve's
+# request decoders (job, sweep and cell bodies).
 # Shrinking a new input stops after 100 executions, so a large seed (the
 # journal loader's 1.2 MB record) cannot spend the budget minimizing
 # instead of exploring. Any crasher is a real bug; commit it as a seed
@@ -152,7 +141,8 @@ chaos-smoke:
 fuzz-smoke:
 	@set -e; for t in FuzzPipelineVsInterp:./internal/isa/progfuzz \
 		FuzzMemory:./internal/isa FuzzTraceDecode:./internal/btrace \
-		FuzzDecodeConfig:./internal/pipeline FuzzLoadJournal:./internal/server; do \
+		FuzzDecodeConfig:./internal/pipeline FuzzLoadJournal:./internal/server \
+		FuzzRequestDecoders:./internal/server; do \
 		echo "fuzz-smoke: $${t%%:*} for $(FUZZTIME)"; \
 		$(GO) test -run '^$$' -fuzz "^$${t%%:*}\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 100x "$${t#*:}"; \
 	done

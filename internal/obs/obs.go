@@ -5,9 +5,11 @@
 // introspection (Version).
 //
 // The subsystem is strictly observation-only: attaching a tracer never
-// changes simulation results (the golden-table checks enforce this), and
-// with tracing disabled the simulator's hot path pays only a nil check
-// (see BenchmarkTracerOff / BenchmarkTracerOn at the repository root).
+// changes simulation results (TestTracingObservationOnly,
+// TestTracedJobMatchesUntracedResult and make trace-smoke enforce this),
+// and with tracing disabled the simulator's hot path pays only a nil
+// check per event site. What tracing costs is BenchmarkTracerOn against
+// BenchmarkCycleLoop at the repository root.
 // The sibling package obs/metrics is the operational-metrics registry
 // behind polyserve's GET /metrics endpoint.
 package obs

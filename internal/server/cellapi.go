@@ -184,48 +184,10 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 		}
 	}()
 
-	if req.Benchmark == "" || len(req.Config) == 0 {
-		return resp, fmt.Errorf("cell request needs benchmark and config"), ""
-	}
-	if s.cfg.MaxInsts > 0 && req.Insts > s.cfg.MaxInsts {
-		return resp, fmt.Errorf("insts %d exceeds the node cap %d", req.Insts, s.cfg.MaxInsts), ""
-	}
-	var spec workload.Spec
-	if req.Spec != nil {
-		if req.Spec.Name != req.Benchmark {
-			return resp, fmt.Errorf("inline spec name %q does not match benchmark %q", req.Spec.Name, req.Benchmark), ""
-		}
-		spec = *req.Spec
-		if spec.TargetInsts == 0 {
-			spec.TargetInsts = req.Insts
-		}
-		if err := workload.CheckSpec(spec); err != nil {
-			return resp, err, ""
-		}
-	} else {
-		bm, err := workload.ByName(req.Benchmark, req.Insts)
-		if err != nil {
-			return resp, err, ""
-		}
-		spec = bm.Spec
-	}
-	spec.Seed = req.Seed
-	if req.Insts > 0 {
-		spec.TargetInsts = req.Insts
-	}
-	cfg, err := pipeline.DecodeConfig(req.Config)
+	spec, cfg, key, err := s.checkCell(req)
 	if err != nil {
 		return resp, err, ""
 	}
-	hash, err := pipeline.CanonicalHash(cfg)
-	if err != nil {
-		return resp, err, ""
-	}
-	if req.ConfigHash != "" && hash != req.ConfigHash {
-		return resp, fmt.Errorf("config hash mismatch: coordinator sent %s, decoded document hashes to %s", req.ConfigHash, hash), ""
-	}
-
-	key := harness.CellKey(spec, hash)
 	if s.memo != nil {
 		if v, ok := s.memo.Get(key); ok {
 			s.svc.CellsFromCache.Add(1)
@@ -246,16 +208,6 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 		return resp, err, ""
 	}
 	defer s.releaseCellSlot()
-
-	if req.Audit != "" {
-		lvl, err := pipeline.ParseAuditLevel(req.Audit)
-		if err != nil {
-			return resp, err, ""
-		}
-		cfg.Audit = lvl
-	} else if s.cfg.Audit != pipeline.AuditOff {
-		cfg.Audit = s.cfg.Audit
-	}
 
 	prog, err := workload.Generate(spec)
 	if err != nil {
@@ -278,6 +230,64 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 		memo.Put(key, v)
 	}
 	return CellResponse{IPC: v.IPC, Stats: v.Stats}, nil, ""
+}
+
+// checkCell runs every check a cell request must pass before it may read
+// the memo or the store, so a bad request is refused the same way whether
+// or not its cell is cached. It returns the cell's workload spec, its
+// config carrying the requested (or the node's) audit level, and its memo
+// key. Every error is a client error.
+func (s *Server) checkCell(req CellRequest) (spec workload.Spec, cfg pipeline.Config, key string, err error) {
+	if req.Benchmark == "" || len(req.Config) == 0 {
+		return spec, cfg, "", fmt.Errorf("cell request needs benchmark and config")
+	}
+	if s.cfg.MaxInsts > 0 && req.Insts > s.cfg.MaxInsts {
+		return spec, cfg, "", fmt.Errorf("insts %d exceeds the node cap %d", req.Insts, s.cfg.MaxInsts)
+	}
+	if req.Spec != nil {
+		if req.Spec.Name != req.Benchmark {
+			return spec, cfg, "", fmt.Errorf("inline spec name %q does not match benchmark %q", req.Spec.Name, req.Benchmark)
+		}
+		spec = *req.Spec
+		if spec.TargetInsts == 0 {
+			spec.TargetInsts = req.Insts
+		}
+		if err := workload.CheckSpec(spec); err != nil {
+			return spec, cfg, "", err
+		}
+	} else {
+		bm, err := workload.ByName(req.Benchmark, req.Insts)
+		if err != nil {
+			return spec, cfg, "", err
+		}
+		spec = bm.Spec
+	}
+	spec.Seed = req.Seed
+	if req.Insts > 0 {
+		spec.TargetInsts = req.Insts
+	}
+	if cfg, err = pipeline.DecodeConfig(req.Config); err != nil {
+		return spec, cfg, "", err
+	}
+	hash, err := pipeline.CanonicalHash(cfg)
+	if err != nil {
+		return spec, cfg, "", err
+	}
+	if req.ConfigHash != "" && hash != req.ConfigHash {
+		return spec, cfg, "", fmt.Errorf("config hash mismatch: coordinator sent %s, decoded document hashes to %s", req.ConfigHash, hash)
+	}
+	// The audit level is applied after hashing: results are bit-identical
+	// with auditing on or off, so the requested level is not in the key.
+	if req.Audit != "" {
+		lvl, err := pipeline.ParseAuditLevel(req.Audit)
+		if err != nil {
+			return spec, cfg, "", err
+		}
+		cfg.Audit = lvl
+	} else if s.cfg.Audit != pipeline.AuditOff {
+		cfg.Audit = s.cfg.Audit
+	}
+	return spec, cfg, harness.CellKey(spec, hash), nil
 }
 
 // cellMemo returns the memo tier stack for direct cell execution: the

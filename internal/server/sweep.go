@@ -149,15 +149,24 @@ func (r SweepRequest) jobRequest() JobRequest {
 	}
 }
 
+// check runs the checks of a sweep that its executing job's own
+// (JobRequest.resolve) do not cover.
+func (r SweepRequest) check() error {
+	if len(r.Configs) == 0 {
+		return &RequestError{Err: fmt.Errorf("sweep must list at least one entry in \"configs\"")}
+	}
+	if r.Parallelism < 0 || r.Parallelism > 64 {
+		return &RequestError{Err: fmt.Errorf("parallelism %d out of [0,64]", r.Parallelism)}
+	}
+	return nil
+}
+
 // SubmitSweepAs validates a sweep, enqueues its executing job under the
 // named fair-queuing tenant, and returns the sweep snapshot. Error
 // mapping is identical to SubmitAs.
 func (s *Server) SubmitSweepAs(req SweepRequest, tenant string) (Sweep, error) {
-	if len(req.Configs) == 0 {
-		return Sweep{}, &RequestError{Err: fmt.Errorf("sweep must list at least one entry in \"configs\"")}
-	}
-	if req.Parallelism < 0 || req.Parallelism > 64 {
-		return Sweep{}, &RequestError{Err: fmt.Errorf("parallelism %d out of [0,64]", req.Parallelism)}
+	if err := req.check(); err != nil {
+		return Sweep{}, err
 	}
 	benches := len(req.Benchmarks)
 	if benches == 0 {
