@@ -133,7 +133,7 @@ chaos-smoke:
 # time): the pipeline-vs-interpreter differential oracle, the
 # copy-on-write memory against a flat model, the PBT1 trace decoder, the
 # config-document decoder, polyserve's journal loader, and polyserve's
-# request decoders (job, sweep and cell bodies).
+# request decoders (job and cell bodies).
 # Shrinking a new input stops after 100 executions, so a large seed (the
 # journal loader's 1.2 MB record) cannot spend the budget minimizing
 # instead of exploring. Any crasher is a real bug; commit it as a seed

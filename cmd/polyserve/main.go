@@ -6,15 +6,15 @@
 //	curl -s localhost:8080/v1/healthz
 //	curl -s -X POST localhost:8080/v1/jobs -d '{"experiment":"fig8","insts":50000}'
 //
-// POST /v1/sweeps fans a configuration sweep into sharded cells on the
-// deterministic scheduler (results are byte-identical under any
-// "parallelism"), streams per-cell completions via
-// GET /v1/sweeps/{id}/cells?after=N, and reports shard progress in
-// /metrics:
+// Every job fans its cells across -par shards of the deterministic
+// scheduler (results are byte-identical under any -par), streams its
+// completed cells via GET /v1/jobs/{id}/cells?after=N, and reports shard
+// progress in /metrics:
 //
-//	curl -s -X POST localhost:8080/v1/sweeps -d \
+//	curl -s -X POST localhost:8080/v1/jobs -d \
 //	  '{"configs":[{"name":"mono","model":"monopath"},{"name":"see","model":"see"}],
-//	    "insts":50000,"parallelism":8}'
+//	    "insts":50000}'
+//	curl -s localhost:8080/v1/jobs/job-000002/cells?after=0
 //
 // Every admitted job is journaled write-ahead to -journal until it
 // finishes, so still-queued jobs resume on restart after a graceful
@@ -28,7 +28,7 @@
 //	polyserve -role worker -node w1 -addr :8081 -coordinator http://localhost:8080 -store /tmp/store
 //
 // with lease-based membership, consistent-hash cell ownership, retries,
-// and hedging; the same journal lets in-flight sweeps survive a
+// and hedging; the same journal lets in-flight jobs survive a
 // coordinator restart.
 package main
 

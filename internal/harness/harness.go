@@ -63,7 +63,8 @@ type CellEvent struct {
 }
 
 // CellID is the stable identity of one (benchmark, config, replicate)
-// cell, used as the sched task ID and in the /v1/sweeps cell stream:
+// cell, used as the sched task ID and in polyserve's job cell stream
+// (GET /v1/jobs/{id}/cells):
 // "bench/config" for replicate 0, "bench/config/rN" beyond.
 func CellID(benchmark, config string, replicate int) string {
 	if replicate == 0 {
@@ -159,7 +160,7 @@ type Options struct {
 	OnTrace func(ev CellEvent, events []pipeline.TraceEvent, dropped uint64)
 	// Observer, when non-nil, receives scheduler lifecycle events
 	// (task started/done per shard) for every simulation cell. polyserve
-	// wires this to its sweep shard metrics.
+	// wires this to its per-shard cell metrics for every job.
 	Observer sched.Observer
 	// Exec, when non-nil, replaces in-process simulation of every
 	// non-memoized cell: instead of generating the workload program and

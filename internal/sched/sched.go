@@ -1,6 +1,6 @@
 // Package sched is the deterministic parallel execution engine behind
-// the experiment harness, the polysim comparison mode, and polyserve's
-// /v1/sweeps endpoint.
+// the experiment harness, the polysim comparison mode, and every
+// polyserve job.
 //
 // A run shards a fixed list of tasks — experiment cells, benchmark
 // characterizations, anything shaped func(*TaskContext) (T, error) —

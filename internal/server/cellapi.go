@@ -188,17 +188,9 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 	if err != nil {
 		return resp, err, ""
 	}
-	if s.memo != nil {
-		if v, ok := s.memo.Get(key); ok {
-			s.svc.CellsFromCache.Add(1)
-			return CellResponse{IPC: v.IPC, Stats: v.Stats}, nil, ""
-		}
-	}
-	if s.store != nil {
-		if v, ok := s.store.Get(key); ok {
-			if s.memo != nil {
-				s.memo.Put(key, v)
-			}
+	memo := s.cellMemo()
+	if memo != nil {
+		if v, ok := memo.Get(key); ok {
 			s.svc.CellsFromCache.Add(1)
 			return CellResponse{IPC: v.IPC, Stats: v.Stats}, nil, ""
 		}
@@ -226,7 +218,7 @@ func (s *Server) runCellContained(ctx context.Context, req CellRequest) (resp Ce
 	s.cellDur.Observe(time.Since(start).Seconds())
 
 	v := harness.MemoValue{IPC: res.IPC, Stats: res.Stats}
-	if memo := s.cellMemo(); memo != nil {
+	if memo != nil {
 		memo.Put(key, v)
 	}
 	return CellResponse{IPC: v.IPC, Stats: v.Stats}, nil, ""
@@ -290,16 +282,13 @@ func (s *Server) checkCell(req CellRequest) (spec workload.Spec, cfg pipeline.Co
 	return spec, cfg, harness.CellKey(spec, hash), nil
 }
 
-// cellMemo returns the memo tier stack for direct cell execution: the
-// shared result store under the in-memory LRU when a store is mounted,
-// the LRU alone otherwise, nil with caching fully disabled.
+// cellMemo returns the node's memo tier stack, the one every role's jobs
+// and direct cell executions read and write: the shared result store
+// under the in-memory LRU when a store is mounted, the LRU alone
+// otherwise, nil with caching fully disabled.
 func (s *Server) cellMemo() harness.Memo {
 	if s.store != nil {
-		var lru harness.Memo
-		if s.memo != nil {
-			lru = s.memo
-		}
-		return tieredMemo{lru: lru, store: s.store}
+		return tieredMemo{s}
 	}
 	if s.memo != nil {
 		return s.memo

@@ -18,8 +18,9 @@ import (
 // local simulation. The policy, in order:
 //
 //   - Result store first: a cell already computed by anyone in the fleet
-//     (this sweep, a previous sweep, a previous coordinator incarnation)
-//     is served from the content-addressed store without dispatch.
+//     (this job, a previous job, a previous coordinator incarnation) is
+//     served from the content-addressed store without dispatch; the
+//     coordinator's memo (cellMemo) reads it before Exec is called.
 //   - Consistent-hash ownership: the cell's content address picks its
 //     worker, so each worker's local memo cache stays hot across sweeps.
 //   - Per-cell deadline (Config.CellTimeout) on the whole dispatch
@@ -80,45 +81,18 @@ func (b *tokenBucket) take() bool {
 	return true
 }
 
-// encodedConfig caches the polypath/v2 wire encoding per canonical hash,
-// so a 10k-cell sweep encodes each distinct config once, not per cell.
-func (s *Server) encodedConfig(cfg pipeline.Config, hash string) ([]byte, error) {
-	s.encMu.Lock()
-	if blob, ok := s.encCfg[hash]; ok {
-		s.encMu.Unlock()
-		return blob, nil
-	}
-	s.encMu.Unlock()
-	blob, err := pipeline.EncodeConfigV2(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.encMu.Lock()
-	if s.encCfg == nil {
-		s.encCfg = make(map[string][]byte)
-	}
-	s.encCfg[hash] = blob
-	s.encMu.Unlock()
-	return blob, nil
-}
-
 // dispatchPollInterval paces the waiting loops: how often an idle
 // dispatch re-checks fleet membership, and how often an in-flight
 // dispatch re-evaluates its hedge conditions.
 const dispatchPollInterval = 100 * time.Millisecond
 
 // execRemote runs one cell on the worker fleet (the coordinator's
-// harness Options.Exec).
+// harness Options.Exec). The memo in front of it (cellMemo) has already
+// missed, and writes the result to the LRU and the store.
 func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness.MemoValue, error) {
 	var zero harness.MemoValue
 	key := harness.CellKey(cell.Spec, cell.ConfigHash)
-	if s.store != nil {
-		if v, ok := s.store.Get(key); ok {
-			s.svc.StoreHits.Add(1)
-			return v, nil
-		}
-	}
-	blob, err := s.encodedConfig(cell.Config, cell.ConfigHash)
+	blob, err := pipeline.EncodeConfigV2(cell.Config)
 	if err != nil {
 		return zero, fmt.Errorf("encode config for dispatch: %w", err)
 	}
@@ -227,18 +201,7 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 			delete(inflight, a.w.id)
 			if a.err == nil {
 				a.w.cellsOK.Add(1)
-				v := harness.MemoValue{IPC: a.resp.IPC, Stats: a.resp.Stats}
-				if s.store != nil {
-					if conflict, err := s.store.Put(key, v); err != nil {
-						s.cfg.Log.Printf("polyserve: store put %s: %v", key, err)
-					} else if conflict {
-						s.svc.StoreConflicts.Add(1)
-						s.cfg.Log.Printf("polyserve: DETERMINISM VIOLATION: store conflict on %s from worker %s", key, a.w.id)
-					} else {
-						s.svc.StorePuts.Add(1)
-					}
-				}
-				return v, nil
+				return harness.MemoValue{IPC: a.resp.IPC, Stats: a.resp.Stats}, nil
 			}
 			a.w.cellsFailed.Add(1)
 			lastErr = fmt.Errorf("worker %s: %w", a.w.id, a.err)

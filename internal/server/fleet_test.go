@@ -174,6 +174,44 @@ func TestStoreRoundTripAndConflict(t *testing.T) {
 	if _, ok := st2.Get("cell-b"); ok {
 		t.Fatal("corrupt store entry must read as a miss")
 	}
+	// The cell then runs again, and its put repairs the entry instead of
+	// reporting a determinism violation.
+	if conflict, err := st2.Put("cell-b", v); err != nil || conflict {
+		t.Fatalf("put over a corrupt entry: conflict=%v err=%v", conflict, err)
+	}
+	if got, ok := st2.Get("cell-b"); !ok || got.IPC != v.IPC {
+		t.Fatalf("after repair: ok=%v got=%+v", ok, got)
+	}
+}
+
+// TestStandaloneStoreHitsCounted: a standalone node without an LRU reads
+// a rerun job's cells from its result store and counts every read.
+func TestStandaloneStoreHitsCounted(t *testing.T) {
+	s, ts := newTestServer(t, Config{StoreDir: t.TempDir(), CacheCells: 0})
+	for run := 0; run < 2; run++ {
+		if j := submitAndWait(t, ts, fleetJobBody); j.State != JobDone {
+			t.Fatalf("run %d: %s %s", run, j.State, j.Error)
+		}
+	}
+	snap := s.Stats()
+	if snap.StoreHits != 6 || snap.StorePuts != 6 || snap.CellsFromCache != 6 {
+		t.Fatalf("store hits/puts = %d/%d, cells from cache %d; want 6 each (2 benchmarks x 3 configs)",
+			snap.StoreHits, snap.StorePuts, snap.CellsFromCache)
+	}
+}
+
+// TestWorkerMemoCountsStoreConflict: two different results put under one
+// key through a worker's memo count one determinism violation.
+func TestWorkerMemoCountsStoreConflict(t *testing.T) {
+	s, _ := newTestServer(t, Config{Role: RoleWorker, NodeID: "w1", StoreDir: t.TempDir(), CacheCells: 64})
+	memo := s.cellMemo()
+	v := harness.MemoValue{IPC: 1.25, Stats: stats.Sim{Committed: 1000, Cycles: 800}}
+	memo.Put("cell-a", v)
+	v.IPC = 9.99
+	memo.Put("cell-a", v)
+	if snap := s.Stats(); snap.StorePuts != 1 || snap.StoreConflicts != 1 {
+		t.Fatalf("store puts/conflicts = %d/%d, want 1/1", snap.StorePuts, snap.StoreConflicts)
+	}
 }
 
 // ---- per-tenant fair queuing ----

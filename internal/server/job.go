@@ -113,9 +113,9 @@ type Job struct {
 	// trace accumulates captured cell streams when Request.Trace is set
 	// (nil until the job starts running; see trace.go).
 	trace *jobTrace
-	// sweep is the sweep record this job executes (nil for plain jobs;
-	// see sweep.go). Journal-resumed jobs lose it by design.
-	sweep *sweepRec
+	// cells logs the job's completed cells for GET /v1/jobs/{id}/cells
+	// (see cells.go). Set when the job is admitted or resumed.
+	cells *cellLog
 	// seq is the scheduler's arrival stamp (drain ordering across
 	// tenants).
 	seq uint64

@@ -257,6 +257,7 @@ func (s *Server) loadJournal(path string) (int, error) {
 			Submitted: e.Submitted,
 			Tenant:    e.Tenant,
 			configs:   configs,
+			cells:     newCellLog(e.Request),
 		})
 		lines = append(lines, p.line)
 	}

@@ -55,8 +55,8 @@ func (s *Server) initMetrics() {
 		JobCancelled: reg.Histogram("polyserve_job_duration_seconds", `state="cancelled"`, "", metrics.LatencyBuckets()),
 	}
 	s.cellDur = reg.Histogram("polyserve_cell_duration_seconds", "", "Per-cell simulation wall time (cache replays excluded).", metrics.LatencyBuckets())
-	reg.GaugeFunc("polyserve_sweep_cells_inflight", "", "Sweep cells currently executing on scheduler shards.", func() float64 {
-		return float64(s.sweepInflight.Load())
+	reg.GaugeFunc("polyserve_cells_inflight", "", "Job cells currently executing on scheduler shards.", func() float64 {
+		return float64(s.cellsInflight.Load())
 	})
 	s.shardDur = make(map[int]*metrics.Histogram)
 	s.workerDur = make(map[string]*metrics.Histogram)
@@ -87,7 +87,7 @@ func (s *Server) shardHist(shard int) *metrics.Histogram {
 	defer s.shardMu.Unlock()
 	if shard >= maxShardSeries || shard < 0 {
 		if s.shardOverflow == nil {
-			s.shardOverflow = s.reg.Histogram("polyserve_sweep_shard_duration_seconds",
+			s.shardOverflow = s.reg.Histogram("polyserve_shard_cell_duration_seconds",
 				`shard="overflow"`, "", metrics.ShortLatencyBuckets())
 		}
 		return s.shardOverflow
@@ -98,7 +98,7 @@ func (s *Server) shardHist(shard int) *metrics.Histogram {
 		if len(s.shardDur) == 0 {
 			help = "Per-cell wall time by the scheduler shard that ran it."
 		}
-		h = s.reg.Histogram("polyserve_sweep_shard_duration_seconds",
+		h = s.reg.Histogram("polyserve_shard_cell_duration_seconds",
 			`shard="`+strconv.Itoa(shard)+`"`, help, metrics.ShortLatencyBuckets())
 		s.shardDur[shard] = h
 	}
@@ -141,17 +141,17 @@ func (s *Server) observeWorkerCell(node string, d time.Duration, err error) {
 	s.workerHist(node).Observe(d.Seconds())
 }
 
-// sweepObserver adapts the scheduler's lifecycle callbacks onto the
-// server's sweep metrics: cells in flight and per-shard durations. It is
-// installed as harness Options.Observer for sweep jobs only.
-type sweepObserver struct{ s *Server }
+// cellObserver adapts the scheduler's lifecycle callbacks onto the
+// server's shard metrics: cells in flight and per-shard durations. It is
+// installed as harness Options.Observer for every job.
+type cellObserver struct{ s *Server }
 
-func (o sweepObserver) TaskStarted(shard int, id string) {
-	o.s.sweepInflight.Add(1)
+func (o cellObserver) TaskStarted(shard int, id string) {
+	o.s.cellsInflight.Add(1)
 }
 
-func (o sweepObserver) TaskDone(shard int, id string, elapsed time.Duration, err error) {
-	o.s.sweepInflight.Add(-1)
+func (o cellObserver) TaskDone(shard int, id string, elapsed time.Duration, err error) {
+	o.s.cellsInflight.Add(-1)
 	o.s.shardHist(shard).Observe(elapsed.Seconds())
 }
 

@@ -63,15 +63,15 @@ func TestCellAuditCheckedOnWarmMemo(t *testing.T) {
 }
 
 // FuzzRequestDecoders feeds each input to every request body polyserve
-// decodes from an untrusted client: a JobRequest (POST /v1/jobs), a
-// SweepRequest (POST /v1/sweeps) and a worker's CellRequest
-// (POST /v1/cells). Each value decodeBody accepts then meets the checks its
-// handler runs before any simulation. An input must either be refused
-// with an error, or its value must re-encode (json.Marshal, then
-// decodeBody) to a fixed point that passes the same checks. Nothing may
-// panic. A re-encoding longer than maxRequestBody is refused by the body
-// cap, as every longer body is: json.Marshal writes <, > and & as six-byte
-// escapes, so longTitleBody's 200,000 "<" re-encode to 1.2 MB.
+// decodes from an untrusted client: a JobRequest (POST /v1/jobs) and a
+// worker's CellRequest (POST /v1/cells). Each value decodeBody accepts
+// then meets the checks its handler runs before any simulation. An input
+// must either be refused with an error, or its value must re-encode
+// (json.Marshal, then decodeBody) to a fixed point that passes the same
+// checks. Nothing may panic. A re-encoding longer than maxRequestBody is
+// refused by the body cap, as every longer body is: json.Marshal writes
+// <, > and & as six-byte escapes, so longTitleBody's 200,000 "<"
+// re-encode to 1.2 MB.
 func FuzzRequestDecoders(f *testing.F) {
 	for _, body := range []string{
 		`{"experiment":"fig8"}`,
@@ -84,6 +84,7 @@ func FuzzRequestDecoders(f *testing.F) {
 		`{"configs":[{"name":"x","config":{"schema":"polypath/v1","mode":"see","fetch_width":0}}]}`,
 		`{"configs":[{"name":"x","config":{"schema":"polypath/v9"}}]}`,
 		`{"configs":[{"name":"x","model":"see"}],"parallelism":65}`,
+		`{"configs":[{"name":"see","model":"see"}],"replicates":2,"parallelism":4}`,
 		`{"configs":[{"name":"mono","model":"monopath"}],"title":"boom sweep (IPC)","benchmarks":["compress"],"insts":10000}`,
 		`{"name":"tage","model":"tage"},{"name":"adaptive","model":"adaptive"}],"insts":1000,"replicates":6}`,
 		`{"id":"w9","addr":"http://127.0.0.1:1"}`,
@@ -100,7 +101,6 @@ func FuzzRequestDecoders(f *testing.F) {
 			Benchmarks: []string{"compress", "trace-0123456789ab"},
 			Workloads:  []workload.Spec{traceWorkloadSpec()},
 		},
-		SweepRequest{Configs: []ConfigEntry{{Name: "see", Model: "see"}}, Replicates: 2, Parallelism: 4},
 		cellRequest(f, "see", CellRequest{Benchmark: "compress", Seed: 7, Insts: 2000, Audit: "cycle"}),
 		cellRequest(f, "dualpath", CellRequest{Benchmark: "trace-0123456789ab", Insts: 3000, Spec: &inline}),
 	} {
@@ -115,13 +115,6 @@ func FuzzRequestDecoders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkRoundTrip(t, body, func(r JobRequest) error {
 			_, err := r.resolve(s.cfg.MaxInsts)
-			return err
-		})
-		checkRoundTrip(t, body, func(r SweepRequest) error {
-			if err := r.check(); err != nil {
-				return err
-			}
-			_, err := r.jobRequest().resolve(s.cfg.MaxInsts)
 			return err
 		})
 		checkRoundTrip(t, body, func(r CellRequest) error {

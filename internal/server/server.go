@@ -3,7 +3,8 @@
 //
 // Jobs (a registered experiment or a custom configuration sweep) are
 // submitted to POST /v1/jobs, run FIFO on a bounded worker pool, and
-// polled via GET /v1/jobs/{id}; the rendered table — byte-identical to
+// polled via GET /v1/jobs/{id}, which GET /v1/jobs/{id}/cells follows
+// cell by cell; the rendered table — byte-identical to
 // cmd/experiments output for the same request — is served by
 // GET /v1/results/{id}. Per-cell results are memoized in an LRU keyed by
 // the canonical polypath/v2 config hash plus workload identity, so
@@ -189,8 +190,8 @@ type Server struct {
 	jobDur  map[JobState]*metrics.Histogram
 	cellDur *metrics.Histogram
 
-	// Sweep-shard observability (see sweepObserver in metrics.go).
-	sweepInflight atomic.Int64
+	// Scheduler-shard observability (see cellObserver in metrics.go).
+	cellsInflight atomic.Int64
 	shardMu       sync.Mutex
 	shardDur      map[int]*metrics.Histogram
 	shardOverflow *metrics.Histogram
@@ -202,10 +203,6 @@ type Server struct {
 	retryTokens *tokenBucket
 	cellSlots   chan struct{}
 	arenas      sync.Pool
-
-	// Per-config wire-encoding cache for dispatch (see dispatch.go).
-	encMu  sync.Mutex
-	encCfg map[string][]byte
 
 	// Write-ahead journal file (see journal.go; nil without JournalPath).
 	walMu sync.Mutex
@@ -220,11 +217,9 @@ type Server struct {
 	workerDur      map[string]*metrics.Histogram
 	workerOverflow *metrics.Histogram
 
-	mu        sync.Mutex
-	jobs      map[string]*Job
-	nextID    uint64
-	sweeps    map[string]*sweepRec
-	nextSweep uint64
+	mu     sync.Mutex
+	jobs   map[string]*Job
+	nextID uint64
 }
 
 // New builds a Server and, if cfg.JournalPath names a journal left by a
@@ -239,7 +234,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Role == RoleCoordinator && cfg.DialWorker == nil {
 		return nil, fmt.Errorf("server: coordinator role requires Config.DialWorker")
 	}
-	s := &Server{cfg: cfg, jobs: make(map[string]*Job), sweeps: make(map[string]*sweepRec)}
+	s := &Server{cfg: cfg, jobs: make(map[string]*Job)}
 	s.quar = newQuarantine(cfg.CrashThreshold)
 	if cfg.CacheCells > 0 {
 		s.memo = harness.NewLRU[harness.MemoValue](cfg.CacheCells)
@@ -370,11 +365,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/quarantine", s.handleQuarantine)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweepSubmit)
-	mux.HandleFunc("GET /v1/sweeps", s.handleSweepList)
-	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}/cells", s.handleSweepCells)
-	mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleSweepResult)
+	mux.HandleFunc("GET /v1/jobs/{id}/cells", s.handleJobCells)
 	mux.HandleFunc("POST /v1/cells", s.handleCellRun)
 	mux.HandleFunc("POST /v1/workers", s.handleWorkerRegister)
 	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", s.handleWorkerHeartbeat)
@@ -393,12 +384,6 @@ var ErrQuarantined = errors.New("server: request quarantined after repeated work
 // ErrQueueFull (a full tenant share ErrTenantQueueFull), a draining
 // server ErrDraining, and a repeatedly-crashing request ErrQuarantined.
 func (s *Server) SubmitAs(req JobRequest, tenant string) (*Job, error) {
-	return s.submit(req, tenant, nil)
-}
-
-// submit is the shared enqueue path of SubmitAs and SubmitSweepAs; sw,
-// when non-nil, attaches the job to the sweep record it executes.
-func (s *Server) submit(req JobRequest, tenant string, sw *sweepRec) (*Job, error) {
 	if s.isCoordinator() && req.Trace {
 		return nil, &RequestError{Err: fmt.Errorf("trace is not supported in coordinator mode: cells execute on remote workers and produce no local trace events")}
 	}
@@ -416,7 +401,7 @@ func (s *Server) submit(req JobRequest, tenant string, sw *sweepRec) (*Job, erro
 		Submitted: time.Now().UTC(),
 		Tenant:    tenant,
 		configs:   configs,
-		sweep:     sw,
+		cells:     newCellLog(req),
 	}
 	s.mu.Lock()
 	s.nextID++
@@ -519,9 +504,6 @@ func (s *Server) runJob(j *Job) {
 	j.cancel = cancel
 	s.mu.Unlock()
 
-	var cells, cacheHits int
-	var simInsts uint64
-	var cellMu sync.Mutex
 	opts := harness.Options{
 		TargetInsts: j.Request.Insts,
 		Benchmarks:  j.Request.Benchmarks,
@@ -529,14 +511,10 @@ func (s *Server) runJob(j *Job) {
 		Replicates:  j.Request.Replicates,
 		Parallelism: s.cfg.SimParallelism,
 		Context:     ctx,
+		Memo:        s.cellMemo(),
+		Observer:    cellObserver{s},
 		OnCell: func(ev harness.CellEvent) {
-			cellMu.Lock()
-			cells++
-			if ev.FromCache {
-				cacheHits++
-			}
-			simInsts += ev.Committed
-			cellMu.Unlock()
+			j.cells.add(ev)
 			if ev.FromCache {
 				s.svc.CellsFromCache.Add(1)
 			} else {
@@ -548,42 +526,17 @@ func (s *Server) runJob(j *Job) {
 		},
 	}
 	if s.isCoordinator() {
-		// Coordinator: every non-memoized cell becomes one remote dispatch
-		// (dispatch.go). The local LRU stays as the first tier; the shared
-		// result store is consulted inside execRemote, so it is not
-		// layered into the memo here (that would double the store writes).
+		// Coordinator: every cell the memo misses becomes one remote
+		// dispatch (dispatch.go).
 		opts.Exec = s.execRemote
 		if s.cfg.SimParallelism == 0 {
 			// Dispatch is network-bound, not CPU-bound: fan out wider than
 			// GOMAXPROCS so a small coordinator keeps a larger fleet busy.
 			opts.Parallelism = 4 * runtime.GOMAXPROCS(0)
 		}
-		if s.memo != nil {
-			opts.Memo = s.memo
-		}
-	} else if m := s.cellMemo(); m != nil {
-		// Standalone/worker: the in-memory LRU backed by the persistent
-		// result store when one is mounted.
-		opts.Memo = m
 	}
 	if s.cfg.Audit != pipeline.AuditOff {
 		opts.Audit = s.cfg.Audit
-	}
-	if sw := j.sweep; sw != nil {
-		// Sweep jobs run under the requested shard count, report scheduler
-		// lifecycle into the shard metrics, and log every completed cell
-		// for the /v1/sweeps/{id}/cells stream. Per-cell wall time sums
-		// into the "serial seconds" counter; the job's own wall time is
-		// added below, so serial/wall is the observed sharding speedup.
-		opts.Parallelism = sw.parallelism
-		opts.Observer = sweepObserver{s}
-		prev := opts.OnCell
-		opts.OnCell = func(ev harness.CellEvent) {
-			prev(ev)
-			sw.addCell(ev)
-			s.svc.SweepCellsDone.Add(1)
-			s.svc.SweepSerialNanos.Add(int64(ev.Elapsed))
-		}
 	}
 	if j.Request.Trace {
 		// Per-cell ring capacity: the client's trace_limit, bounded by the
@@ -635,12 +588,9 @@ func (s *Server) runJob(j *Job) {
 	switch {
 	case err == nil:
 		j.State = JobDone
-		j.Result = &JobResult{Text: text, Cells: cells, CacheHits: cacheHits, SimInsts: simInsts}
+		j.Result = &JobResult{Text: text}
+		j.cells.result(j.Result)
 		s.svc.JobsCompleted.Add(1)
-		if j.sweep != nil {
-			s.svc.SweepsCompleted.Add(1)
-			s.svc.SweepWallNanos.Add(finished.Sub(now).Nanoseconds())
-		}
 	case errors.Is(err, context.Canceled):
 		j.State = JobCancelled
 		j.Error = "cancelled"
@@ -744,7 +694,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// writeSubmitError maps a SubmitAs/SubmitSweepAs error to its HTTP status.
+// writeSubmitError maps a SubmitAs error to its HTTP status.
 func writeSubmitError(w http.ResponseWriter, err error, queueCapacity int) {
 	var reqErr *RequestError
 	var cfgErr *pipeline.ConfigError
@@ -815,14 +765,10 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j)
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	s.writeJobResult(w, r.PathValue("id"))
-}
-
-// writeJobResult serves a job's result by state: 200 with the JobResult
+// handleResult serves a job's result by state: 200 with the JobResult
 // when done, 410 when failed/cancelled, 202 + Retry-After otherwise.
-// Shared by /v1/results/{id} and /v1/sweeps/{id}/result.
-func (s *Server) writeJobResult(w http.ResponseWriter, id string) {
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	var state JobState

@@ -470,8 +470,8 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestRequestBodyRejectsTrailingData: a submission body is exactly one
-// JSON value. Anything but whitespace after it is a 400 on both submit
-// endpoints; trailing whitespace is accepted.
+// JSON value. Anything but whitespace after it is a 400; trailing
+// whitespace is accepted.
 func TestRequestBodyRejectsTrailingData(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxInsts: 100000})
 	const body = `{"configs":[{"name":"mono","model":"monopath"}],"benchmarks":["compress"],"insts":1000}`
@@ -487,19 +487,12 @@ func TestRequestBodyRejectsTrailingData(t *testing.T) {
 		{"trailing newline", "\n", http.StatusAccepted},
 		{"trailing whitespace", " \t\r\n ", http.StatusAccepted},
 	}
-	for _, endpoint := range []string{"jobs", "sweeps"} {
-		for _, tc := range cases {
-			t.Run(endpoint+"/"+tc.name, func(t *testing.T) {
-				resp, err := http.Post(ts.URL+"/v1/"+endpoint, "application/json", strings.NewReader(body+tc.trailer))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				data, _ := io.ReadAll(resp.Body)
-				if resp.StatusCode != tc.want {
-					t.Fatalf("status %d, want %d; body: %s", resp.StatusCode, tc.want, data)
-				}
-			})
-		}
+	for _, tc := range cases {
+		t.Run("jobs/"+tc.name, func(t *testing.T) {
+			resp, data := post(t, ts, body+tc.trailer)
+			if resp.StatusCode != tc.want {
+				t.Fatalf("status %d, want %d; body: %s", resp.StatusCode, tc.want, data)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/harness"
 )
@@ -20,8 +19,10 @@ import (
 // as a cross-restart, cross-node memoization tier AND as a correctness
 // audit: two nodes writing different bytes under the same key can only
 // mean nondeterminism (or corruption), which Put surfaces as a conflict
-// instead of silently overwriting. First write wins; writes are
-// temp+rename so readers never observe a torn file.
+// instead of silently overwriting. First write wins, except over a file
+// that does not decode to a record for its key (torn or corrupt): Get
+// reads that as a miss and Put replaces it. Writes are temp+rename so
+// readers never observe a torn file.
 
 // storeRecord is the on-disk document. Key is stored inside the file so
 // an auditor (scripts/soak_smoke.sh) can recompute the address and verify
@@ -31,13 +32,9 @@ type storeRecord struct {
 	Value harness.MemoValue `json:"value"`
 }
 
-// resultStore is safe for concurrent use by dispatch goroutines.
+// resultStore is safe for concurrent use by harness worker goroutines.
 type resultStore struct {
 	dir string
-
-	hits      atomic.Uint64
-	puts      atomic.Uint64
-	conflicts atomic.Uint64
 }
 
 func openStore(dir string) (*resultStore, error) {
@@ -52,38 +49,40 @@ func (st *resultStore) path(key string) string {
 	return filepath.Join(st.dir, hex.EncodeToString(sum[:])+".json")
 }
 
-// Get returns the stored value for key, if present and intact. A corrupt
-// or mismatched file reads as a miss — the cell is simply re-executed.
-func (st *resultStore) Get(key string) (harness.MemoValue, bool) {
+// read returns the file bytes and value of key's record. ok is false when
+// the file is missing, does not decode, or holds another key's record.
+func (st *resultStore) read(key string) (data []byte, v harness.MemoValue, ok bool) {
 	data, err := os.ReadFile(st.path(key))
 	if err != nil {
-		return harness.MemoValue{}, false
+		return nil, v, false
 	}
 	var rec storeRecord
 	if json.Unmarshal(data, &rec) != nil || rec.Key != key {
-		return harness.MemoValue{}, false
+		return nil, v, false
 	}
-	st.hits.Add(1)
-	return rec.Value, true
+	return data, rec.Value, true
 }
 
-// Put stores the value under key. When the key already exists the
-// existing result is kept (first write wins) and, if the bytes disagree,
-// the conflict counter records a determinism violation for the audit.
-// Returned errors are I/O problems; callers treat the store as a cache
-// and may continue without it.
+// Get returns the stored value for key, if present and intact. A corrupt
+// or mismatched file reads as a miss — the cell is simply re-executed.
+func (st *resultStore) Get(key string) (harness.MemoValue, bool) {
+	_, v, ok := st.read(key)
+	return v, ok
+}
+
+// Put stores the value under key. When an intact record for the key
+// already exists it is kept (first write wins), and conflict reports
+// whether its bytes disagree with v's: a determinism violation for the
+// audit. A file Get would miss on is replaced. Returned errors are I/O
+// problems; callers treat the store as a cache and may continue without
+// it.
 func (st *resultStore) Put(key string, v harness.MemoValue) (conflict bool, err error) {
 	blob, err := json.Marshal(storeRecord{Key: key, Value: v})
 	if err != nil {
 		return false, err
 	}
-	path := st.path(key)
-	if old, err := os.ReadFile(path); err == nil {
-		if !bytes.Equal(bytes.TrimSpace(old), blob) {
-			st.conflicts.Add(1)
-			return true, nil
-		}
-		return false, nil
+	if old, _, ok := st.read(key); ok {
+		return !bytes.Equal(bytes.TrimSpace(old), blob), nil
 	}
 	tmp, err := os.CreateTemp(st.dir, ".cell-*")
 	if err != nil {
@@ -100,15 +99,10 @@ func (st *resultStore) Put(key string, v harness.MemoValue) (conflict bool, err 
 	// A concurrent writer may have landed first; content under one key is
 	// identical by construction (same deterministic simulation), so the
 	// rename race is benign — but check anyway to feed the audit.
-	if old, err := os.ReadFile(path); err == nil && !bytes.Equal(bytes.TrimSpace(old), blob) {
-		st.conflicts.Add(1)
+	if old, _, ok := st.read(key); ok && !bytes.Equal(bytes.TrimSpace(old), blob) {
 		return true, nil
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return false, err
-	}
-	st.puts.Add(1)
-	return false, nil
+	return false, os.Rename(tmp.Name(), st.path(key))
 }
 
 // Len counts stored results (scrape-time only; walks the directory).
@@ -126,31 +120,43 @@ func (st *resultStore) Len() int {
 	return n
 }
 
-// tieredMemo layers the persistent result store under the in-memory LRU:
-// Get falls back to the store (backfilling the LRU), Put writes through.
-// It is the harness.Memo a worker or standalone node runs with, making
-// every node's cache shared fleet-wide and restart-durable.
-type tieredMemo struct {
-	lru   harness.Memo // may be nil (caching disabled)
-	store *resultStore
-}
+// tieredMemo layers a node's persistent result store under its in-memory
+// LRU (when caching is on): Get falls back to the store (backfilling the
+// LRU), Put writes through. It makes every node's cache shared fleet-wide
+// and restart-durable, and it counts every store hit, put, conflict and
+// write error, on every role.
+type tieredMemo struct{ s *Server }
 
 func (m tieredMemo) Get(key string) (harness.MemoValue, bool) {
-	if m.lru != nil {
-		if v, ok := m.lru.Get(key); ok {
+	s := m.s
+	if s.memo != nil {
+		if v, ok := s.memo.Get(key); ok {
 			return v, true
 		}
 	}
-	v, ok := m.store.Get(key)
-	if ok && m.lru != nil {
-		m.lru.Put(key, v)
+	v, ok := s.store.Get(key)
+	if ok {
+		s.svc.StoreHits.Add(1)
+		if s.memo != nil {
+			s.memo.Put(key, v)
+		}
 	}
 	return v, ok
 }
 
 func (m tieredMemo) Put(key string, v harness.MemoValue) {
-	if m.lru != nil {
-		m.lru.Put(key, v)
+	s := m.s
+	if s.memo != nil {
+		s.memo.Put(key, v)
 	}
-	_, _ = m.store.Put(key, v)
+	switch conflict, err := s.store.Put(key, v); {
+	case err != nil:
+		s.svc.StoreErrors.Add(1)
+		s.cfg.Log.Printf("polyserve: store put %s: %v", key, err)
+	case conflict:
+		s.svc.StoreConflicts.Add(1)
+		s.cfg.Log.Printf("polyserve: DETERMINISM VIOLATION: store conflict on %s at node %s", key, s.cfg.NodeID)
+	default:
+		s.svc.StorePuts.Add(1)
+	}
 }

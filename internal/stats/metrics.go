@@ -27,29 +27,15 @@ func (s *Service) Register(reg *metrics.Registry) {
 	ctr("polyserve_sim_insts_total", "", "Committed instructions across all simulated cells.", &s.SimInsts)
 	reg.CounterFunc("polyserve_sim_seconds_total", "", "Wall-clock seconds spent inside simulations.",
 		func() float64 { return float64(s.SimNanos.Load()) / 1e9 })
-	ctr("polyserve_sweeps_total", `state="submitted"`, "Batch sweeps by lifecycle state.", &s.SweepsSubmitted)
-	ctr("polyserve_sweeps_total", `state="completed"`, "", &s.SweepsCompleted)
-	ctr("polyserve_sweep_cells_total", "", "Cells completed inside sweeps (cache hits included).", &s.SweepCellsDone)
-	reg.CounterFunc("polyserve_sweep_serial_seconds_total", "", "Summed per-cell wall seconds inside sweeps.",
-		func() float64 { return float64(s.SweepSerialNanos.Load()) / 1e9 })
-	reg.CounterFunc("polyserve_sweep_wall_seconds_total", "", "Start-to-finish wall seconds of sweep jobs; serial/wall is the sharding speedup.",
-		func() float64 { return float64(s.SweepWallNanos.Load()) / 1e9 })
-	reg.GaugeFunc("polyserve_sweep_speedup", "", "Observed sweep speedup: serial seconds over wall seconds.",
-		func() float64 {
-			wall := s.SweepWallNanos.Load()
-			if wall <= 0 {
-				return 0
-			}
-			return float64(s.SweepSerialNanos.Load()) / float64(wall)
-		})
 	ctr("polyserve_cells_dispatched_total", "", "Remote cell executions launched at fleet workers.", &s.CellsDispatched)
 	ctr("polyserve_cells_redispatched_total", "", "Cell re-dispatches after a worker failure, eviction, or hedge.", &s.CellsRedispatched)
 	ctr("polyserve_retry_budget_exhausted_total", "", "Cells failed because the dispatch retry budget ran dry.", &s.RetryBudgetExhausted)
 	ctr("polyserve_workers_evicted_total", "", "Workers evicted after missing their heartbeat lease.", &s.WorkersEvicted)
 	ctr("polyserve_tenant_rejected_total", "", "Submissions rejected by a full per-tenant queue.", &s.TenantRejected)
-	ctr("polyserve_store_ops_total", `op="hit"`, "Shared result-store operations: hits, puts, and write conflicts.", &s.StoreHits)
+	ctr("polyserve_store_ops_total", `op="hit"`, "Shared result-store operations: hits, puts, write conflicts and write errors.", &s.StoreHits)
 	ctr("polyserve_store_ops_total", `op="put"`, "", &s.StorePuts)
 	ctr("polyserve_store_ops_total", `op="conflict"`, "", &s.StoreConflicts)
+	ctr("polyserve_store_ops_total", `op="error"`, "", &s.StoreErrors)
 }
 
 // Snapshot exports the histogram for the metrics registry: integer-valued

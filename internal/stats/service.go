@@ -4,9 +4,10 @@ import "sync/atomic"
 
 // Service accumulates the operational counters of a long-running
 // simulation service (polyserve): job lifecycle counts, memoization
-// effectiveness, and aggregate simulation throughput. All fields are
-// updated with atomics so the hot path (worker goroutines reporting
-// per-cell completions) never contends on a lock.
+// effectiveness, aggregate simulation throughput, and fleet dispatch and
+// result-store traffic. All fields are updated with atomics so the hot
+// path (worker goroutines reporting per-cell completions) never contends
+// on a lock.
 type Service struct {
 	JobsSubmitted atomic.Uint64
 	JobsCompleted atomic.Uint64
@@ -26,12 +27,6 @@ type Service struct {
 	SimInsts atomic.Uint64 // committed instructions across all simulated cells
 	SimNanos atomic.Int64  // wall nanoseconds spent inside simulations
 
-	SweepsSubmitted  atomic.Uint64 // /v1/sweeps batch jobs accepted
-	SweepsCompleted  atomic.Uint64 // sweeps that finished successfully
-	SweepCellsDone   atomic.Uint64 // cells completed inside sweeps (cache hits included)
-	SweepSerialNanos atomic.Int64  // summed per-cell wall time inside sweeps ("serial seconds")
-	SweepWallNanos   atomic.Int64  // wall time of sweep jobs start-to-finish; serial/wall = speedup
-
 	// Fleet (coordinator/worker mode).
 	CellsDispatched      atomic.Uint64 // remote cell executions launched at workers
 	CellsRedispatched    atomic.Uint64 // re-dispatches after a worker failure, eviction, or hedge
@@ -41,6 +36,7 @@ type Service struct {
 	StoreHits            atomic.Uint64 // cells served from the shared content-addressed result store
 	StorePuts            atomic.Uint64 // results written to the store
 	StoreConflicts       atomic.Uint64 // store writes that disagreed with an existing result (determinism violation)
+	StoreErrors          atomic.Uint64 // store writes that failed with an I/O error
 }
 
 // ServiceSnapshot is a consistent-enough point-in-time copy of the
@@ -65,13 +61,6 @@ type ServiceSnapshot struct {
 	SimWallSeconds float64 `json:"sim_wall_seconds"`
 	SimInstsPerSec float64 `json:"sim_insts_per_sec"`
 
-	SweepsSubmitted    uint64  `json:"sweeps_submitted"`
-	SweepsCompleted    uint64  `json:"sweeps_completed"`
-	SweepCellsDone     uint64  `json:"sweep_cells_done"`
-	SweepSerialSeconds float64 `json:"sweep_serial_seconds"`
-	SweepWallSeconds   float64 `json:"sweep_wall_seconds"`
-	SweepSpeedup       float64 `json:"sweep_speedup"` // serial/wall; >1 means sharding paid off
-
 	CellsDispatched      uint64 `json:"cells_dispatched,omitempty"`
 	CellsRedispatched    uint64 `json:"cells_redispatched,omitempty"`
 	RetryBudgetExhausted uint64 `json:"retry_budget_exhausted,omitempty"`
@@ -80,6 +69,7 @@ type ServiceSnapshot struct {
 	StoreHits            uint64 `json:"store_hits,omitempty"`
 	StorePuts            uint64 `json:"store_puts,omitempty"`
 	StoreConflicts       uint64 `json:"store_conflicts,omitempty"`
+	StoreErrors          uint64 `json:"store_errors,omitempty"`
 }
 
 // Snapshot reads every counter and derives the throughput figures.
@@ -104,16 +94,6 @@ func (s *Service) Snapshot() ServiceSnapshot {
 	if nanos > 0 {
 		snap.SimInstsPerSec = float64(insts) / (float64(nanos) / 1e9)
 	}
-	serial := s.SweepSerialNanos.Load()
-	wall := s.SweepWallNanos.Load()
-	snap.SweepsSubmitted = s.SweepsSubmitted.Load()
-	snap.SweepsCompleted = s.SweepsCompleted.Load()
-	snap.SweepCellsDone = s.SweepCellsDone.Load()
-	snap.SweepSerialSeconds = float64(serial) / 1e9
-	snap.SweepWallSeconds = float64(wall) / 1e9
-	if wall > 0 {
-		snap.SweepSpeedup = float64(serial) / float64(wall)
-	}
 	snap.CellsDispatched = s.CellsDispatched.Load()
 	snap.CellsRedispatched = s.CellsRedispatched.Load()
 	snap.RetryBudgetExhausted = s.RetryBudgetExhausted.Load()
@@ -122,5 +102,6 @@ func (s *Service) Snapshot() ServiceSnapshot {
 	snap.StoreHits = s.StoreHits.Load()
 	snap.StorePuts = s.StorePuts.Load()
 	snap.StoreConflicts = s.StoreConflicts.Load()
+	snap.StoreErrors = s.StoreErrors.Load()
 	return snap
 }

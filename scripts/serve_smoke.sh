@@ -10,8 +10,8 @@
 #      (observed via the /v1/stats hit counter),
 #   3. cmd/experiments output is byte-identical under -j 8 and -j 1
 #      (the deterministic scheduler contract), and
-#   4. a /v1/sweeps batch runs sharded to completion, streams its cells,
-#      renders the same bytes as the jobs API, and shows up in /metrics,
+#   4. a configs job streams its cells through /v1/jobs/{id}/cells and
+#      shows up in the /metrics shard families,
 # then shuts the server down with SIGTERM and expects a clean drain.
 set -euo pipefail
 
@@ -90,7 +90,7 @@ if ! diff -u "$WORKDIR/cli-j1.txt" "$WORKDIR/cli-j8.txt"; then
 fi
 echo "sharded output byte-identical"
 
-echo "== sharded sweep through /v1/sweeps =="
+echo "== configs job cell stream =="
 # Four cells: two by model name and two as inline polypath/v2 config
 # documents — the TAGE machine (exercising the open predictor registry
 # end-to-end through the wire format) and an adaptive-policy machine (the
@@ -98,42 +98,24 @@ echo "== sharded sweep through /v1/sweeps =="
 # policy field over the wire).
 TAGE_V2='{"schema":"polypath/v2","mode":"polypath","fetch_width":8,"rename_width":8,"commit_width":8,"front_end_stages":5,"window_size":256,"num_int_type0":4,"num_int_type1":4,"num_fp_add":4,"num_fp_mul":4,"num_mem_ports":4,"phys_regs":352,"checkpoints":64,"ctx_history_width":8,"max_paths":24,"max_divergences":0,"predictor":{"kind":"tage","params":{"base_bits":10,"idx_bits":5,"max_hist":64,"min_hist":4,"tables":4,"tag_bits":11}},"confidence":{"kind":"jrs","index_bits":11,"ctr_bits":1,"threshold":0,"enhanced_index":true,"adaptive_min_pvn":0,"adaptive_window":0},"fetch_policy":"exponential","enable_dcache":false,"dcache":{"sets":0,"ways":0,"line_words":0},"dcache_miss_latency":0,"enable_icache":false,"icache":{"sets":0,"ways":0,"line_words":0},"icache_miss_latency":0,"btb_bits":9,"ras_depth":16,"enable_mrc":false,"mrc_bits":8,"resolution_buses":0,"non_speculative_history":false,"max_insts":0}'
 ADAPTIVE_V2='{"schema":"polypath/v2","mode":"polypath","fetch_width":4,"rename_width":8,"commit_width":8,"front_end_stages":5,"window_size":256,"num_int_type0":4,"num_int_type1":4,"num_fp_add":4,"num_fp_mul":4,"num_mem_ports":4,"phys_regs":352,"checkpoints":64,"ctx_history_width":8,"max_paths":24,"max_divergences":0,"predictor":{"kind":"gshare","params":{"hist_bits":11}},"confidence":{"kind":"jrs","index_bits":11,"ctr_bits":1,"threshold":0,"enhanced_index":true,"adaptive_min_pvn":0,"adaptive_window":0},"fetch_policy":"exponential","enable_dcache":false,"dcache":{"sets":0,"ways":0,"line_words":0},"dcache_miss_latency":0,"enable_icache":false,"icache":{"sets":0,"ways":0,"line_words":0},"icache_miss_latency":0,"btb_bits":9,"ras_depth":16,"enable_mrc":false,"mrc_bits":8,"resolution_buses":0,"non_speculative_history":false,"max_insts":0,"policy":{"kind":"online","epoch_cycles":1024,"candidates":[{"conf_threshold":0,"max_divergences":0,"fetch_width":0},{"conf_threshold":0,"max_divergences":-1,"fetch_width":0}],"params":{"ema_milli":400,"explore_every":6,"hysteresis_milli":20,"shift_milli":120,"vifr_epochs":0,"vifr_fetch":4,"vifr_lowconf_milli":600}}}'
-SWEEP_REQ='{"configs":[{"name":"monopath","model":"monopath"},{"name":"SEE","model":"see"},{"name":"TAGE","config":'"$TAGE_V2"'},{"name":"adaptive","config":'"$ADAPTIVE_V2"'}],"benchmarks":["compress"],"insts":50000,"parallelism":8,"title":"smoke sweep (IPC)"}'
-SWEEP_ID=$(curl -fsS -X POST "$BASE/sweeps" -d "$SWEEP_REQ" | sed -n 's/.*"id": "\(sweep-[^"]*\)".*/\1/p')
-[ -n "$SWEEP_ID" ] || { echo "no sweep id in submit response" >&2; exit 1; }
-for i in $(seq 1 300); do
-    state=$(curl -fsS "$BASE/sweeps/$SWEEP_ID" | sed -n 's/.*"state": "\([^"]*\)".*/\1/p')
-    case "$state" in
-        done) break ;;
-        failed|cancelled) echo "sweep $SWEEP_ID $state" >&2; exit 1 ;;
-    esac
-    if [ "$i" = 300 ]; then echo "sweep $SWEEP_ID did not finish" >&2; exit 1; fi
-    sleep 0.2
-done
-CELLS=$(curl -fsS "$BASE/sweeps/$SWEEP_ID/cells" | python3 -c 'import json,sys; p=json.load(sys.stdin); print(len(p["cells"]))')
-if [ "$CELLS" != 4 ]; then
-    echo "FAIL: sweep streamed $CELLS cells, expected 4" >&2
-    exit 1
-fi
-echo "sweep streamed $CELLS cells"
-curl -fsS "$BASE/sweeps/$SWEEP_ID/result" | python3 -c 'import json,sys; sys.stdout.write(json.load(sys.stdin)["text"])' > "$WORKDIR/sweep.txt"
 REQ='{"configs":[{"name":"monopath","model":"monopath"},{"name":"SEE","model":"see"},{"name":"TAGE","config":'"$TAGE_V2"'},{"name":"adaptive","config":'"$ADAPTIVE_V2"'}],"benchmarks":["compress"],"insts":50000,"title":"smoke sweep (IPC)"}'
 JOB_ID=$(submit_and_wait)
-curl -fsS "$BASE/results/$JOB_ID" | python3 -c 'import json,sys; sys.stdout.write(json.load(sys.stdin)["text"])' > "$WORKDIR/sweep-job.txt"
-if ! diff -u "$WORKDIR/sweep-job.txt" "$WORKDIR/sweep.txt"; then
-    echo "FAIL: sharded sweep output differs from the sequential jobs API" >&2
+CELLS=$(curl -fsS "$BASE/jobs/$JOB_ID/cells?after=0" | python3 -c 'import json,sys; p=json.load(sys.stdin); print(len(p["cells"]), p["done_cells"], p["total_cells"])')
+if [ "$CELLS" != "4 4 4" ]; then
+    echo "FAIL: job $JOB_ID streamed cells/done/total $CELLS, expected 4 4 4" >&2
     exit 1
 fi
-echo "sweep byte-identical to the jobs API"
+echo "job streamed 4 of 4 cells"
 # Fetch to a file before grepping: `curl | grep -q` under pipefail is
 # racy — grep exits on the first match, and curl fails with a write
 # error if it had more output in flight.
 curl -fsS "http://127.0.0.1:${PORT}/metrics" > "$WORKDIR/metrics.txt"
-if ! grep -q 'polyserve_sweeps_total{state="completed"} 1' "$WORKDIR/metrics.txt"; then
-    echo "FAIL: /metrics does not report the completed sweep" >&2
+if ! grep -q '^polyserve_cells_inflight 0$' "$WORKDIR/metrics.txt" ||
+    ! grep -q '^polyserve_shard_cell_duration_seconds_count{shard=' "$WORKDIR/metrics.txt"; then
+    echo "FAIL: /metrics does not report the job's cells by shard" >&2
     exit 1
 fi
-echo "sweep visible in /metrics"
+echo "job cells visible in /metrics"
 
 echo "== graceful shutdown =="
 kill -TERM "$SERVER_PID"
