@@ -135,9 +135,9 @@ chaos-smoke:
 # config-document decoder, polyserve's journal loader, and polyserve's
 # request decoders (job and cell bodies).
 # Shrinking a new input stops after 100 executions, so a large seed (the
-# journal loader's 1.2 MB record) cannot spend the budget minimizing
-# instead of exploring. Any crasher is a real bug; commit it as a seed
-# under the package's testdata/fuzz.
+# request decoders' 200 kB long-title body) cannot spend the budget
+# minimizing instead of exploring. Any crasher is a real bug; commit it as
+# a seed under the package's testdata/fuzz.
 fuzz-smoke:
 	@set -e; for t in FuzzPipelineVsInterp:./internal/isa/progfuzz \
 		FuzzMemory:./internal/isa FuzzTraceDecode:./internal/btrace \

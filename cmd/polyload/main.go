@@ -17,12 +17,9 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -49,7 +46,6 @@ func main() {
 	hotFrac := flag.Float64("hot", 0.8, "fraction of jobs drawn from the repeated hot set [0,1]")
 	insts := flag.Uint64("insts", 20000, "instructions per cell")
 	bench := flag.String("bench", "compress", "benchmark each job runs")
-	tenant := flag.String("tenant", "", "X-Tenant header value (fair-queuing bucket)")
 	poll := flag.Duration("poll", 200*time.Millisecond, "completion poll interval")
 	wait := flag.Duration("wait", 2*time.Minute, "per-job completion deadline after the window closes")
 	seed := flag.Int64("seed", 1, "hot/cold choice RNG seed")
@@ -123,7 +119,7 @@ func main() {
 					deadline.Add(*wait))
 				defer cancel()
 				start := time.Now()
-				j, err := submitAs(ctx, c, req, *tenant)
+				j, err := c.Submit(ctx, req)
 				if err != nil {
 					rejected.Add(1)
 					return
@@ -184,50 +180,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "polyload: FAIL: zero jobs succeeded")
 		os.Exit(1)
 	}
-}
-
-// submitAs posts one job with the optional X-Tenant header. The client
-// package's Submit has no header hook, so this speaks the API directly.
-func submitAs(ctx context.Context, c *client.Client, req server.JobRequest, tenant string) (server.Job, error) {
-	if tenant == "" {
-		return c.Submit(ctx, req)
-	}
-	body, err := jsonBody(req)
-	if err != nil {
-		return server.Job{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/jobs", body)
-	if err != nil {
-		return server.Job{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("X-Tenant", tenant)
-	resp, err := c.HTTP.Do(hreq)
-	if err != nil {
-		return server.Job{}, err
-	}
-	defer resp.Body.Close()
-	var j server.Job
-	if resp.StatusCode != http.StatusAccepted {
-		return j, fmt.Errorf("submit: HTTP %d", resp.StatusCode)
-	}
-	return j, decodeJSON(resp, &j)
-}
-
-func jsonBody(v any) (io.Reader, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return bytes.NewReader(b), nil
-}
-
-func decodeJSON(resp *http.Response, out any) error {
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
 }
 
 // labelValue extracts one label's value from a Prometheus series line.

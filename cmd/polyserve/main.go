@@ -75,9 +75,7 @@ func main() {
 	maxInsts := flag.Uint64("maxinsts", 0, "per-benchmark instruction cap clients may request (0 = unbounded)")
 	journal := flag.String("journal", "polyserve.journal", "write-ahead job journal; pending jobs resume from it on restart (empty = disable)")
 	audit := flag.String("audit", "off", "invariant-audit level for every simulation: off, commit, cycle")
-	crashThreshold := flag.Int("crash-threshold", 3, "contained worker crashes before a request signature is quarantined")
 	chaosPanic := flag.String("chaos-panic", "", "chaos testing only: panic the worker on jobs whose title contains this string")
-	traceLimit := flag.Int("trace-limit", 1<<18, "total trace events retained per traced job (jobs submitted with \"trace\": true)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and /metrics on this extra address (metrics are also on the main address)")
 	role := flag.String("role", server.RoleStandalone, "fleet role: standalone, coordinator, or worker")
 	node := flag.String("node", "", "stable node ID in fleet APIs and logs (default: the role)")
@@ -85,12 +83,7 @@ func main() {
 	advertise := flag.String("advertise", "", "base URL this worker advertises to the coordinator (default: derived from -addr)")
 	store := flag.String("store", "", "content-addressed result store directory shared across the fleet (empty = none)")
 	lease := flag.Duration("lease", 3*time.Second, "worker lease TTL; a worker missing heartbeats this long is evicted")
-	heartbeat := flag.Duration("heartbeat", 0, "worker heartbeat period (0 = a third of the granted lease)")
 	cellTimeout := flag.Duration("cell-timeout", 2*time.Minute, "coordinator deadline for one cell including retries")
-	cellRetries := flag.Int("cell-retries", 8, "re-dispatches per cell beyond the first attempt")
-	hedge := flag.Duration("hedge", 0, "launch a hedged duplicate attempt after a cell runs this long (0 = only on worker eviction)")
-	retryBudget := flag.Int("retry-budget", 256, "coordinator-wide re-dispatch token bucket burst (refills at 64/s)")
-	perTenant := flag.Int("tenant-queue", 0, "per-tenant share of the job queue (0 = no per-tenant cap)")
 	version := flag.Bool("version", false, "print the build version and role, then exit")
 	flag.Parse()
 
@@ -121,20 +114,14 @@ func main() {
 		MaxInsts:       *maxInsts,
 		JournalPath:    *journal,
 		Audit:          auditLevel,
-		TraceLimit:     *traceLimit,
-		CrashThreshold: *crashThreshold,
 		ChaosPanic:     *chaosPanic,
 		Log:            logger,
 
-		Role:           *role,
-		NodeID:         *node,
-		StoreDir:       *store,
-		LeaseTTL:       *lease,
-		CellTimeout:    *cellTimeout,
-		CellRetries:    *cellRetries,
-		HedgeDelay:     *hedge,
-		RetryBudget:    *retryBudget,
-		PerTenantQueue: *perTenant,
+		Role:        *role,
+		NodeID:      *node,
+		StoreDir:    *store,
+		LeaseTTL:    *lease,
+		CellTimeout: *cellTimeout,
 	}
 	if *role == server.RoleCoordinator {
 		cfg.DialWorker = client.DialWorker
@@ -157,7 +144,6 @@ func main() {
 			Coordinator: coord,
 			ID:          cfg.NodeID,
 			Addr:        advertiseAddr(*advertise, *addr),
-			Interval:    *heartbeat,
 			OnState:     srv.SetAttachment,
 			Logf:        logger.Printf,
 		}

@@ -98,7 +98,7 @@ func (c *Client) HeartbeatWorker(ctx context.Context, id string) (server.WorkerL
 }
 
 // Attachment keeps one worker registered with its coordinator: register,
-// then heartbeat at a fraction of the granted lease, re-registering
+// then heartbeat at a third of the granted lease, re-registering
 // whenever the coordinator forgets us (its restart) or becomes
 // unreachable (a partition). Run blocks until ctx is cancelled; the
 // worker keeps serving /v1/cells throughout — attachment state only
@@ -109,8 +109,6 @@ type Attachment struct {
 	// ID and Addr are this worker's stable identity and reachable base URL.
 	ID   string
 	Addr string
-	// Interval overrides the heartbeat period (default: lease/3).
-	Interval time.Duration
 	// OnState receives "attached"/"detached" transitions (may be nil).
 	OnState func(state string)
 	// Logf receives attachment lifecycle lines (may be nil).
@@ -141,7 +139,6 @@ func (a *Attachment) setState(attached *bool, now bool) {
 // Run drives the attachment loop until ctx ends.
 func (a *Attachment) Run(ctx context.Context) {
 	attached := false
-	var interval time.Duration
 	for ctx.Err() == nil {
 		lease, err := a.Coordinator.RegisterWorker(ctx, server.WorkerRegistration{ID: a.ID, Addr: a.Addr})
 		if err != nil {
@@ -153,12 +150,9 @@ func (a *Attachment) Run(ctx context.Context) {
 			continue
 		}
 		a.setState(&attached, true)
-		interval = a.Interval
+		interval := time.Duration(lease.LeaseMS) * time.Millisecond / 3
 		if interval <= 0 {
-			interval = time.Duration(lease.LeaseMS) * time.Millisecond / 3
-			if interval <= 0 {
-				interval = time.Second
-			}
+			interval = time.Second
 		}
 		// Heartbeat until the coordinator stops answering or forgets us.
 		for ctx.Err() == nil {

@@ -101,14 +101,26 @@ func (e *CellCallError) Error() string {
 
 func (e *CellCallError) Unwrap() error { return e.Err }
 
-// IsWorkerCrash reports whether err is a remote cell execution that
-// crashed the worker (contained panic or machine check).
-func IsWorkerCrash(err error) (node string, ok bool) {
-	var ce *CellCallError
-	if errors.As(err, &ce) && ce.Crash {
-		return ce.Node, true
+// workerCrashes reports whether err holds a remote cell execution that
+// crashed its worker (contained panic or machine check), and names the
+// self-reported node of every such execution in err's tree, in order.
+func workerCrashes(err error) (nodes []string, crashed bool) {
+	switch e := err.(type) {
+	case *CellCallError:
+		if e.Crash && e.Node != "" {
+			nodes = append(nodes, e.Node)
+		}
+		return nodes, e.Crash
+	case interface{ Unwrap() []error }:
+		for _, inner := range e.Unwrap() {
+			n, c := workerCrashes(inner)
+			nodes, crashed = append(nodes, n...), crashed || c
+		}
+		return nodes, crashed
+	case interface{ Unwrap() error }:
+		return workerCrashes(e.Unwrap())
 	}
-	return "", false
+	return nil, false
 }
 
 // WorkerCaller is the coordinator's transport to one worker node.

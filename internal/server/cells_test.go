@@ -278,7 +278,7 @@ func TestResumedJobServesCellStream(t *testing.T) {
 	if err := json.Unmarshal([]byte(batchJobBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	accepted, err := s1.SubmitAs(req, "")
+	accepted, err := s1.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}

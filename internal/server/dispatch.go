@@ -28,14 +28,19 @@ import (
 //   - Failure → walk the ring successors, never re-trying a worker that
 //     already failed this cell in this round; when every live worker has
 //     failed it once, the round resets (workers restart under stable IDs,
-//     so a comeback deserves a fresh chance).
-//   - Every launch after the first consumes a token from the bounded
-//     retry budget — a flapping worker degrades throughput but cannot
-//     amplify one cell into unbounded fleet load.
-//   - Hedged re-dispatch: if the owning worker stops heartbeating while
-//     our call is in flight (SIGKILL, wedge, partition), or the optional
-//     HedgeDelay elapses, a second attempt launches on the next live
-//     successor; first success wins, the loser's response is discarded.
+//     so a comeback deserves a fresh chance). At most cellRetries
+//     launches follow the first.
+//   - Every launch after the first consumes a token from the
+//     coordinator-wide retry budget (retryBurst tokens, refilled at
+//     retryRefillPerSec) — a flapping worker degrades throughput but
+//     cannot amplify one cell into unbounded fleet load.
+//   - Two crashes fail fast: once a second dispatch of the cell crashes
+//     its worker, the request is at fault, not a node, and the cell fails
+//     without further dispatch.
+//   - Hedged re-dispatch: if every worker running the cell stops
+//     heartbeating while our call is in flight (SIGKILL, wedge,
+//     partition), one more attempt launches on the next live successor;
+//     first success wins, the loser's response is discarded.
 //
 // Cells are idempotent (deterministic simulation keyed by content
 // address), so duplicated execution from hedging is always safe; the
@@ -49,30 +54,31 @@ var ErrRetryBudgetExhausted = errors.New("server: dispatch retry budget exhauste
 // cell deadline.
 var ErrNoWorkers = errors.New("server: no live workers")
 
-// retryRefillPerSec is the rate at which the retry budget refills.
-const retryRefillPerSec = 64
+// The retry budget: a burst of retryBurst re-dispatches, refilled at
+// retryRefillPerSec. cellRetries caps one cell's launches after the first.
+const (
+	retryBurst        = 256
+	retryRefillPerSec = 64
+	cellRetries       = 8
+)
 
-// tokenBucket is the coordinator-wide retry budget: burst tokens,
+// tokenBucket is the coordinator-wide retry budget: retryBurst tokens,
 // refilled continuously at retryRefillPerSec. take is non-blocking.
 type tokenBucket struct {
 	mu     sync.Mutex
 	tokens float64
-	burst  float64
 	last   time.Time
 }
 
-func newTokenBucket(burst int) *tokenBucket {
-	return &tokenBucket{tokens: float64(burst), burst: float64(burst), last: time.Now()}
+func newTokenBucket() *tokenBucket {
+	return &tokenBucket{tokens: retryBurst, last: time.Now()}
 }
 
 func (b *tokenBucket) take() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	now := time.Now()
-	b.tokens += now.Sub(b.last).Seconds() * retryRefillPerSec
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.tokens = min(b.tokens+now.Sub(b.last).Seconds()*retryRefillPerSec, retryBurst)
 	b.last = now
 	if b.tokens < 1 {
 		return false
@@ -83,7 +89,7 @@ func (b *tokenBucket) take() bool {
 
 // dispatchPollInterval paces the waiting loops: how often an idle
 // dispatch re-checks fleet membership, and how often an in-flight
-// dispatch re-evaluates its hedge conditions.
+// dispatch checks whether its workers were evicted.
 const dispatchPollInterval = 100 * time.Millisecond
 
 // execRemote runs one cell on the worker fleet (the coordinator's
@@ -124,12 +130,11 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 	}
 	// Buffered past the launch cap so abandoned attempts never block on
 	// send after we return.
-	resCh := make(chan attempt, s.cfg.CellRetries+4)
+	resCh := make(chan attempt, cellRetries+4)
 	tried := make(map[string]bool)    // failed or launched this round
 	inflight := make(map[string]bool) // launched, no result yet
 	launched := 0
-	crashes := 0
-	var crashNode string
+	var firstCrash error // the first attempt that crashed its worker
 	var lastErr error
 
 	launch := func(w *workerEntry) {
@@ -164,10 +169,6 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 		return nil
 	}
 
-	var hedgeAt time.Time
-	if s.cfg.HedgeDelay > 0 {
-		hedgeAt = time.Now().Add(s.cfg.HedgeDelay)
-	}
 	ticker := time.NewTicker(dispatchPollInterval)
 	defer ticker.Stop()
 
@@ -176,7 +177,7 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 		// the fleet is momentarily empty (worker restart, coordinator
 		// just rebooted and workers have not re-registered yet).
 		for len(inflight) == 0 {
-			if launched > s.cfg.CellRetries {
+			if launched > cellRetries {
 				return zero, fmt.Errorf("cell %s: gave up after %d dispatches: %w", key, launched, lastErr)
 			}
 			w := s.nextLiveWorker(cctx, nextWorker)
@@ -205,18 +206,15 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 			}
 			a.w.cellsFailed.Add(1)
 			lastErr = fmt.Errorf("worker %s: %w", a.w.id, a.err)
-			if node, ok := IsWorkerCrash(a.err); ok {
-				crashes++
-				crashNode = node
-				if crashNode == "" {
-					crashNode = a.w.id
-				}
-				if crashes >= 2 {
+			if _, crashed := workerCrashes(a.err); crashed {
+				if firstCrash != nil {
 					// Two distinct dispatches crashed on this cell: that is
 					// the request's fault, not a bad node. Redispatching
-					// further would just crash more workers.
-					return zero, fmt.Errorf("cell %s crashed %d workers (last: %s): %w", key, crashes, crashNode, a.err)
+					// further would just crash more workers. Both crashes
+					// stay in the error, so quarantine names both nodes.
+					return zero, fmt.Errorf("cell %s crashed two workers: %w; %w", key, firstCrash, lastErr)
 				}
+				firstCrash = lastErr
 			}
 			if cctx.Err() != nil {
 				return zero, fmt.Errorf("cell %s: %w (last: %v)", key, cctx.Err(), lastErr)
@@ -224,11 +222,11 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 			// Loop: the launch loop above re-dispatches to the next owner.
 
 		case <-ticker.C:
-			// Hedge check: the only worker(s) running this cell stopped
-			// heartbeating (evicted), or the configured hedge delay
-			// elapsed. Launch one extra attempt on a live successor —
-			// budget permitting — without abandoning the in-flight one.
-			if len(inflight) == 0 {
+			// Hedge check: every worker running this cell stopped
+			// heartbeating (evicted). Launch one extra attempt on a live
+			// successor — budget permitting — without abandoning the
+			// in-flight one.
+			if launched > cellRetries {
 				continue
 			}
 			evicted := true
@@ -238,14 +236,12 @@ func (s *Server) execRemote(ctx context.Context, cell harness.CellSpec) (harness
 					break
 				}
 			}
-			hedge := evicted || (!hedgeAt.IsZero() && time.Now().After(hedgeAt))
-			if !hedge || launched > s.cfg.CellRetries {
+			if !evicted {
 				continue
 			}
 			if w := nextWorker(); w != nil && s.retryTokens.take() {
 				s.svc.CellsRedispatched.Add(1)
 				launch(w)
-				hedgeAt = time.Time{} // one time-based hedge per cell
 			}
 
 		case <-cctx.Done():

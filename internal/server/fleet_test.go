@@ -10,7 +10,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -214,77 +216,13 @@ func TestWorkerMemoCountsStoreConflict(t *testing.T) {
 	}
 }
 
-// ---- per-tenant fair queuing ----
-
-// TestTenantFairQueuing: with one tenant hogging the queue, a second
-// tenant's jobs still run in round-robin turn, and the hog is bounded by
-// the per-tenant cap while the other tenant is still admitted.
-func TestTenantFairQueuing(t *testing.T) {
-	started := make(chan string, 32)
-	release := make(chan struct{})
-	sched := newTenantScheduler(1, 16, 4, func(j *Job) {
-		started <- j.Tenant + "/" + j.ID
-		<-release
-	})
-	defer func() { close(release); sched.drain() }()
-
-	submit := func(tenant, id string) error {
-		return sched.submit(&Job{ID: id, Tenant: tenant, State: JobQueued})
-	}
-	// First job starts immediately and occupies the single worker; the
-	// rest queue behind it.
-	if err := submit("hog", "job-0"); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	for i := 1; i <= 4; i++ {
-		if err := submit("hog", fmt.Sprintf("job-%d", i)); err != nil {
-			t.Fatalf("hog job %d: %v", i, err)
-		}
-	}
-	// The hog's 5th queued job exceeds its per-tenant share.
-	if err := submit("hog", "job-5"); err != ErrTenantQueueFull {
-		t.Fatalf("over-cap hog submit: err=%v, want ErrTenantQueueFull", err)
-	}
-	// The polite tenant still gets in.
-	if err := submit("polite", "job-p1"); err != nil {
-		t.Fatalf("polite tenant must be admitted: %v", err)
-	}
-	if err := submit("polite", "job-p2"); err != nil {
-		t.Fatal(err)
-	}
-	if got := sched.tenantDepth("hog"); got != 4 {
-		t.Fatalf("hog depth = %d, want 4", got)
-	}
-
-	// Drain order: the worker must alternate tenants (round-robin), not
-	// empty the hog first.
-	var order []string
-	for i := 0; i < 6; i++ {
-		release <- struct{}{}
-		select {
-		case s := <-started:
-			order = append(order, s)
-		case <-time.After(5 * time.Second):
-			t.Fatalf("stalled after %v", order)
-		}
-	}
-	politeFirst := -1
-	for i, s := range order {
-		if strings.HasPrefix(s, "polite/") {
-			politeFirst = i
-			break
-		}
-	}
-	if politeFirst < 0 || politeFirst > 1 {
-		t.Fatalf("polite tenant's first job ran at position %d of %v; fair queuing should interleave", politeFirst, order)
-	}
-}
-
 // ---- WAL journal ----
 
 // TestWALAcceptDoneCycle: accepts without a matching done survive a
-// restart; accept+done pairs do not; the reopened file is compacted.
+// restart; accept+done pairs do not; the reopened file is compacted. The
+// pending job's accept is written in the format of servers that had
+// per-tenant queues, carrying a "tenant" field: such a journal still
+// loads, resumes exactly that job, and drops nothing.
 func TestWALAcceptDoneCycle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.journal")
 	mk := func() *Server {
@@ -295,8 +233,7 @@ func TestWALAcceptDoneCycle(t *testing.T) {
 	}
 	jobA := &Job{ID: "job-000001", State: JobQueued, Submitted: time.Unix(1700000000, 0).UTC(),
 		Request: JobRequest{Configs: []ConfigEntry{{Name: "mono", Model: "monopath"}}, Benchmarks: []string{"compress"}, Insts: 10000}}
-	jobB := &Job{ID: "job-000002", State: JobQueued, Submitted: jobA.Submitted, Tenant: "acme",
-		Request: jobA.Request}
+	tenantAccept := tenantPayload(t, journalEntry{ID: "job-000002", Request: jobA.Request, Submitted: jobA.Submitted, Op: "accept"})
 
 	s1 := mk()
 	s1.sched = newScheduler(1, 8, func(j *Job) {})
@@ -304,14 +241,19 @@ func TestWALAcceptDoneCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.walAppend("accept", jobA)
-	s1.walAppend("accept", jobB)
+	if _, err := s1.walF.Write(appendJournalRecord(nil, tenantAccept)); err != nil {
+		t.Fatal(err)
+	}
 	s1.walAppend("done", jobA)
 	if err := s1.walClose(); err != nil {
 		t.Fatal(err)
 	}
 	s1.sched.drain()
+	if blob, _ := os.ReadFile(path); !bytes.Contains(blob, []byte(`"tenant":"acme"`)) {
+		t.Fatalf("journal lacks the tenant-carrying accept:\n%s", blob)
+	}
 
-	// "Restart": only jobB is pending.
+	// "Restart": only job-000002 is pending.
 	s2 := mk()
 	blocked := make(chan struct{})
 	s2.sched = newScheduler(1, 8, func(j *Job) { <-blocked })
@@ -323,12 +265,11 @@ func TestWALAcceptDoneCycle(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("resumed %d jobs, want 1 (accept without done)", n)
 	}
-	j, ok := s2.Job("job-000002")
-	if !ok {
-		t.Fatal("job-000002 (accepted, never done) must resume")
+	if got := s2.svc.JournalDropped.Load(); got != 0 {
+		t.Fatalf("journal_dropped = %d, want 0", got)
 	}
-	if j.Tenant != "acme" {
-		t.Fatalf("tenant %q lost across restart, want acme", j.Tenant)
+	if _, ok := s2.Job("job-000002"); !ok {
+		t.Fatal("job-000002 (accepted, never done) must resume")
 	}
 	if _, ok := s2.Job("job-000001"); ok {
 		t.Fatal("job-000001 (done) must not resume")
@@ -505,6 +446,134 @@ func TestFleetRedispatchAroundDeadWorker(t *testing.T) {
 	// at least one cell needed a redispatch.
 	if coord.svc.CellsRedispatched.Load() == 0 {
 		t.Fatal("no redispatches recorded around the dead worker")
+	}
+}
+
+// funcCaller is an in-process worker whose RunCell is a test function.
+type funcCaller func(ctx context.Context, req CellRequest) (CellResponse, error)
+
+func (f funcCaller) RunCell(ctx context.Context, req CellRequest) (CellResponse, error) {
+	return f(ctx, req)
+}
+
+const oneCellJobBody = `{"configs":[{"name":"mono","model":"monopath"}],"benchmarks":["compress"],"insts":3000}`
+
+// TestDispatchHedgesEvictedWorker: the cell's only worker stops
+// heartbeating once its call hangs. When its lease expires, one more
+// attempt launches on a live worker that joined meanwhile, and the cell
+// finishes there well inside its deadline.
+func TestDispatchHedgesEvictedWorker(t *testing.T) {
+	var stuckDispatched atomic.Bool
+	stuckCalled := make(chan struct{}, 1)
+	var liveCalls atomic.Int64
+	callers := map[string]WorkerCaller{
+		"fake://stuck": funcCaller(func(ctx context.Context, req CellRequest) (CellResponse, error) {
+			stuckDispatched.Store(true)
+			select {
+			case stuckCalled <- struct{}{}:
+			default:
+			}
+			<-ctx.Done()
+			return CellResponse{}, &CellCallError{Node: "stuck", Err: ctx.Err()}
+		}),
+		"fake://live": funcCaller(func(ctx context.Context, req CellRequest) (CellResponse, error) {
+			liveCalls.Add(1)
+			return CellResponse{IPC: 1, Stats: stats.Sim{Committed: 3000, Cycles: 3000}}, nil
+		}),
+	}
+	const lease, cellTimeout = 200 * time.Millisecond, 10 * time.Second
+	coord, cts := newTestServer(t, Config{
+		Role: RoleCoordinator, NodeID: "coord", LeaseTTL: lease, CellTimeout: cellTimeout,
+		DialWorker: func(addr string) WorkerCaller { return callers[addr] },
+	})
+	if _, err := coord.registry.register("stuck", "fake://stuck"); err != nil {
+		t.Fatal(err)
+	}
+	// The test renews the stuck worker's lease until the cell reaches it,
+	// and the live worker's throughout.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(lease / 5)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if !stuckDispatched.Load() {
+					coord.registry.beat("stuck")
+				}
+				coord.registry.beat("live")
+			}
+		}
+	}()
+
+	start := time.Now()
+	resp, data := post(t, cts, oneCellJobBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+	}
+	var j Job
+	if err := json.Unmarshal(data, &j); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-stuckCalled:
+	case <-time.After(cellTimeout):
+		t.Fatal("the cell was never dispatched to its only worker")
+	}
+	// The live worker joins only now, so the stuck one owns the cell.
+	if _, err := coord.registry.register("live", "fake://live"); err != nil {
+		t.Fatal(err)
+	}
+
+	waitFor(t, func() bool { got, _ := coord.Job(j.ID); return got.State != JobQueued && got.State != JobRunning })
+	if got, _ := coord.Job(j.ID); got.State != JobDone {
+		t.Fatalf("job %s (%s), want done on the live worker", got.State, got.Error)
+	}
+	if elapsed := time.Since(start); elapsed > cellTimeout/2 {
+		t.Fatalf("the hedge took %s; the cell deadline is %s", elapsed, cellTimeout)
+	}
+	snap := coord.Stats()
+	if liveCalls.Load() != 1 || snap.WorkersEvicted < 1 || snap.CellsRedispatched < 1 {
+		t.Fatalf("live calls %d, workers_evicted %d, cells_redispatched %d; want 1, >= 1, >= 1",
+			liveCalls.Load(), snap.WorkersEvicted, snap.CellsRedispatched)
+	}
+}
+
+// TestDispatchFailsFastOnSecondCrash: every worker crashes on the cell.
+// The job fails after exactly two dispatches, not cellRetries+1, and its
+// quarantine entry names both crashed nodes.
+func TestDispatchFailsFastOnSecondCrash(t *testing.T) {
+	coord, cts := newTestServer(t, Config{
+		Role: RoleCoordinator, NodeID: "coord", LeaseTTL: time.Hour, CellTimeout: 30 * time.Second,
+		DialWorker: func(addr string) WorkerCaller {
+			node := strings.TrimPrefix(addr, "fake://")
+			return funcCaller(func(ctx context.Context, req CellRequest) (CellResponse, error) {
+				return CellResponse{}, &CellCallError{Node: node, Crash: true, Status: http.StatusInternalServerError, Msg: "worker panic (test)"}
+			})
+		},
+	})
+	for _, id := range []string{"w1", "w2"} {
+		if _, err := coord.registry.register(id, "fake://"+id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j := submitAndWait(t, cts, oneCellJobBody); j.State != JobFailed {
+		t.Fatalf("job %s (%s), want failed", j.State, j.Error)
+	}
+	if got := coord.svc.CellsDispatched.Load(); got != 2 {
+		t.Fatalf("%d dispatches, want 2 (fail fast on the second crash)", got)
+	}
+	entries := coord.quar.list()
+	if len(entries) != 1 {
+		t.Fatalf("quarantine has %d entries, want 1: %+v", len(entries), entries)
+	}
+	nodes := slices.Clone(entries[0].Nodes)
+	slices.Sort(nodes)
+	if !slices.Equal(nodes, []string{"w1", "w2"}) {
+		t.Fatalf("quarantine entry names nodes %v, want [w1 w2]", nodes)
 	}
 }
 

@@ -72,8 +72,8 @@ type JobRequest struct {
 	// unchanged); memoized cells replay without simulating and therefore
 	// contribute no events.
 	Trace bool `json:"trace,omitempty"`
-	// TraceLimit caps retained events per cell (0 = server default;
-	// bounded by the server's whole-job budget).
+	// TraceLimit caps retained events per cell (0 = the whole-job budget
+	// of 1<<18 events, which also bounds larger values).
 	TraceLimit int `json:"trace_limit,omitempty"`
 }
 
@@ -91,8 +91,9 @@ type JobResult struct {
 	SimInsts uint64 `json:"sim_insts"`
 }
 
-// Job is one submitted experiment. Mutable fields are guarded by the
-// owning Server's mutex.
+// Job is one submitted job. Mutable fields are guarded by the owning
+// Server's mutex. A finished job is forgotten once 1024 newer jobs have
+// finished (maxFinishedJobs).
 type Job struct {
 	ID        string     `json:"id"`
 	State     JobState   `json:"state"`
@@ -101,10 +102,7 @@ type Job struct {
 	Started   *time.Time `json:"started_at,omitempty"`
 	Finished  *time.Time `json:"finished_at,omitempty"`
 	Error     string     `json:"error,omitempty"`
-	// Tenant is the fair-queuing bucket the job was admitted under (the
-	// X-Tenant request header; empty = default tenant).
-	Tenant string     `json:"tenant,omitempty"`
-	Result *JobResult `json:"-"` // served by /v1/results/{id}
+	Result    *JobResult `json:"-"` // served by /v1/results/{id}
 
 	// configs is the resolved custom sweep (nil for experiment jobs).
 	configs []harness.NamedConfig
@@ -116,9 +114,6 @@ type Job struct {
 	// cells logs the job's completed cells for GET /v1/jobs/{id}/cells
 	// (see cells.go). Set when the job is admitted or resumed.
 	cells *cellLog
-	// seq is the scheduler's arrival stamp (drain ordering across
-	// tenants).
-	seq uint64
 }
 
 // extra converts the inline workload specs into the harness's job-scoped

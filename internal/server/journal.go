@@ -45,7 +45,9 @@ import (
 // snapshots older servers wrote) read as accepts.
 
 // journalEntry is the JSON payload of one record: enough to re-enqueue a
-// still-queued job under its original ID after a restart.
+// still-queued job under its original ID after a restart. Fields a
+// record carries beyond these (the "tenant" of journals from servers
+// that had per-tenant queues) are ignored on load.
 type journalEntry struct {
 	ID        string     `json:"id"`
 	Request   JobRequest `json:"request"`
@@ -53,8 +55,6 @@ type journalEntry struct {
 	// Op is the record type: "accept", "done", or "" (a compacted or
 	// legacy record, treated as accept).
 	Op string `json:"op,omitempty"`
-	// Tenant preserves the fair-queuing bucket across restarts.
-	Tenant string `json:"tenant,omitempty"`
 }
 
 // appendJournalRecord formats one checksummed record.
@@ -76,7 +76,7 @@ func writeJournal(path string, jobs []*Job) error {
 	defer os.Remove(tmp.Name())
 	w := bufio.NewWriter(tmp)
 	for _, j := range jobs {
-		payload, err := json.Marshal(journalEntry{ID: j.ID, Request: j.Request, Submitted: j.Submitted, Tenant: j.Tenant})
+		payload, err := json.Marshal(journalEntry{ID: j.ID, Request: j.Request, Submitted: j.Submitted})
 		if err != nil {
 			tmp.Close()
 			return err
@@ -255,7 +255,6 @@ func (s *Server) loadJournal(path string) (int, error) {
 			State:     JobQueued,
 			Request:   e.Request,
 			Submitted: e.Submitted,
-			Tenant:    e.Tenant,
 			configs:   configs,
 			cells:     newCellLog(e.Request),
 		})
@@ -323,7 +322,7 @@ func (s *Server) walAppend(op string, j *Job) {
 		return
 	}
 	payload, err := json.Marshal(journalEntry{
-		ID: j.ID, Request: j.Request, Submitted: j.Submitted, Op: op, Tenant: j.Tenant,
+		ID: j.ID, Request: j.Request, Submitted: j.Submitted, Op: op,
 	})
 	if err != nil {
 		s.cfg.Log.Printf("polyserve: wal %s %s: %v", op, j.ID, err)

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -12,9 +13,13 @@ import (
 // quarantine.go implements polyserve's repeated-crash containment: a job
 // request whose execution keeps crashing the worker (a contained panic or
 // a pipeline machine check) is fingerprinted, counted, and — once it has
-// crashed CrashThreshold times — refused at submission with HTTP 403. One
+// crashed crashThreshold times — refused at submission with HTTP 403. One
 // poisoned request can therefore never grind the service down by being
 // resubmitted in a retry loop; every other request keeps flowing.
+
+// crashThreshold is how many crashed jobs a request signature may
+// accumulate before further submissions of it are refused.
+const crashThreshold = 3
 
 // QuarantineEntry is one crash-tracked request fingerprint, served by
 // GET /v1/quarantine.
@@ -23,7 +28,8 @@ type QuarantineEntry struct {
 	Signature string `json:"signature"`
 	// Describe is a human-oriented summary of the offending request.
 	Describe string `json:"describe"`
-	// Crashes counts contained worker crashes attributed to this request.
+	// Crashes counts this request's jobs that crashed a worker (a
+	// contained panic or machine check, in process or on fleet workers).
 	Crashes int `json:"crashes"`
 	// Quarantined is true once Crashes reached the server's threshold;
 	// further submissions with this signature are rejected.
@@ -40,7 +46,9 @@ type QuarantineEntry struct {
 	Nodes []string `json:"nodes,omitempty"`
 }
 
-// quarantine tracks crash counts per request signature.
+// quarantine tracks crash counts per request signature; an entry is
+// quarantined once its count reaches threshold (crashThreshold on a
+// Server).
 type quarantine struct {
 	mu        sync.Mutex
 	threshold int
@@ -64,12 +72,12 @@ func crashSignature(req JobRequest) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// recordCrash counts one contained crash for the request, attributed to
-// the worker node that observed it (the local node for in-process
-// execution, the remote worker's ID for fleet dispatch), and reports
+// recordCrash counts one crashed job for the request, attributed to the
+// worker nodes that observed its crashes (the local node for in-process
+// execution, the remote workers' IDs for fleet dispatch), and reports
 // whether this crash tipped it into quarantine. All methods tolerate a
 // nil receiver (a Server built without New has no quarantine).
-func (q *quarantine) recordCrash(req JobRequest, describe, errText, node string, now time.Time) (sig string, quarantinedNow bool) {
+func (q *quarantine) recordCrash(req JobRequest, describe, errText string, nodes []string, now time.Time) (sig string, quarantinedNow bool) {
 	sig = crashSignature(req)
 	if q == nil {
 		return sig, false
@@ -84,16 +92,9 @@ func (q *quarantine) recordCrash(req JobRequest, describe, errText, node string,
 	e.Crashes++
 	e.LastError = errText
 	e.LastCrash = now
-	if node != "" {
+	for _, node := range nodes {
 		e.Node = node
-		seen := false
-		for _, n := range e.Nodes {
-			if n == node {
-				seen = true
-				break
-			}
-		}
-		if !seen {
+		if !slices.Contains(e.Nodes, node) {
 			e.Nodes = append(e.Nodes, node)
 		}
 	}

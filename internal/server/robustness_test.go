@@ -27,7 +27,7 @@ const chaosBody = `{"configs":[{"name":"mono","model":"monopath"}],"title":"boom
 // (the process and other requests keep working), the fourth submission is
 // refused with 403, and /v1/quarantine reports the offender.
 func TestWorkerPanicContainedAndQuarantined(t *testing.T) {
-	_, ts := newTestServer(t, Config{ChaosPanic: "boom", CrashThreshold: 3})
+	_, ts := newTestServer(t, Config{ChaosPanic: "boom"})
 
 	for i := 1; i <= 3; i++ {
 		j := submitAndWait(t, ts, chaosBody)
@@ -97,13 +97,13 @@ func TestQuarantineSignatures(t *testing.T) {
 	b := JobRequest{Experiment: "table1", Insts: 10000}
 	now := time.Unix(1700000000, 0)
 
-	if _, tipped := q.recordCrash(a, "a", "boom", "node-a", now); tipped {
+	if _, tipped := q.recordCrash(a, "a", "boom", []string{"node-a"}, now); tipped {
 		t.Fatal("first crash must not quarantine at threshold 2")
 	}
 	if _, bad := q.check(a); bad {
 		t.Fatal("one crash below threshold must not quarantine")
 	}
-	if _, tipped := q.recordCrash(a, "a", "boom", "node-b", now.Add(time.Second)); !tipped {
+	if _, tipped := q.recordCrash(a, "a", "boom", []string{"node-b"}, now.Add(time.Second)); !tipped {
 		t.Fatal("second crash must tip the threshold")
 	}
 	if _, bad := q.check(a); !bad {
@@ -112,7 +112,7 @@ func TestQuarantineSignatures(t *testing.T) {
 	if _, bad := q.check(b); bad {
 		t.Fatal("request b never crashed and must not be quarantined")
 	}
-	if _, tipped := q.recordCrash(a, "a", "boom", "node-b", now.Add(2*time.Second)); tipped {
+	if _, tipped := q.recordCrash(a, "a", "boom", []string{"node-b"}, now.Add(2*time.Second)); tipped {
 		t.Fatal("already-quarantined entries must not re-tip")
 	}
 	if got := q.list(); len(got) != 1 || got[0].Crashes != 3 {
@@ -154,6 +154,37 @@ func damagedJournal(t testing.TB) []byte {
 	torn := appendJournalRecord(nil, journalRecord(t, "job-000005"))
 	torn = torn[:len(torn)/2] // write cut off mid-record, no newline
 	return bytes.Join([][]byte{good1, good2, legacyJournalRecord(t), rotten, torn}, nil)
+}
+
+// tenantPayload encodes e as servers with per-tenant queues journaled
+// it, with a "tenant" field.
+func tenantPayload(t testing.TB, e journalEntry) []byte {
+	t.Helper()
+	payload, err := json.Marshal(struct {
+		journalEntry
+		Tenant string `json:"tenant"`
+	}{e, "acme"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// tenantJournal is a journal from a server with per-tenant queues:
+// job-000001's accept/done pair, then job-000002's accept.
+func tenantJournal(t testing.TB) []byte {
+	var blob []byte
+	for _, rec := range []struct{ id, op string }{
+		{"job-000001", "accept"}, {"job-000001", "done"}, {"job-000002", "accept"},
+	} {
+		var e journalEntry
+		if err := json.Unmarshal(journalRecord(t, rec.id), &e); err != nil {
+			t.Fatal(err)
+		}
+		e.Op = rec.op
+		blob = appendJournalRecord(blob, tenantPayload(t, e))
+	}
+	return blob
 }
 
 // TestJournalCorruptionRecovery loads a journal containing intact records,
@@ -299,7 +330,9 @@ var longTitleBody = `{"configs":[{"name":"mono","model":"monopath"}],"benchmarks
 // TestWALLongRecordSurvivesRestart submits the long-title job to a
 // journaling server, lets it finish, and starts a new server on
 // the same journal: the records must load like any other, so startup
-// succeeds with nothing dropped and nothing to resume.
+// succeeds with nothing dropped and nothing to resume. A journal whose
+// one pending record is the long accept compacts to a fixed point:
+// loading it again drops nothing and resumes the same job.
 func TestWALLongRecordSurvivesRestart(t *testing.T) {
 	cfg := Config{JournalPath: filepath.Join(t.TempDir(), "wal.journal"), Log: testLogger(t)}
 	s1, err := New(cfg)
@@ -327,6 +360,27 @@ func TestWALLongRecordSurvivesRestart(t *testing.T) {
 	if got := s2.svc.JournalResumed.Load(); got != 0 {
 		t.Fatalf("journal_resumed = %d, want 0 (the job finished)", got)
 	}
+
+	long := journalEntry{ID: "job-000006", Op: "accept"}
+	if err := json.Unmarshal([]byte(longTitleBody), &long.Request); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "long.journal")
+	if err := os.WriteFile(path, appendJournalRecord(nil, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first, dropped := loadWALForTest(t, path)
+	if len(first) != 1 || dropped != 0 {
+		t.Fatalf("long accept: resumed %d, dropped %d; want 1, 0", len(first), dropped)
+	}
+	second, dropped := loadWALForTest(t, path)
+	if dropped != 0 || !slices.Equal(first, second) {
+		t.Fatalf("the compacted long journal dropped %d and resumed a different job", dropped)
+	}
 }
 
 // FuzzLoadJournal uses the fuzz input as a write-ahead journal file.
@@ -336,17 +390,7 @@ func TestWALLongRecordSurvivesRestart(t *testing.T) {
 func FuzzLoadJournal(f *testing.F) {
 	f.Add(damagedJournal(f))
 	f.Add(legacyJournalRecord(f))
-
-	var long journalEntry
-	if err := json.Unmarshal([]byte(longTitleBody), &long.Request); err != nil {
-		f.Fatal(err)
-	}
-	long.ID, long.Op, long.Tenant = "job-000006", "accept", "acme"
-	payload, err := json.Marshal(long)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(appendJournalRecord(nil, payload))
+	f.Add(tenantJournal(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "wal.journal")
@@ -380,7 +424,7 @@ func loadWALForTest(t *testing.T, path string) ([]string, uint64) {
 	}
 	var resumed []string
 	for id, j := range s.jobs {
-		b, err := json.Marshal(journalEntry{ID: id, Request: j.Request, Submitted: j.Submitted, Tenant: j.Tenant})
+		b, err := json.Marshal(journalEntry{ID: id, Request: j.Request, Submitted: j.Submitted})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,22 +453,22 @@ func TestDrainRacesWorkerPanic(t *testing.T) {
 	// One chaos job that will panic in the worker, plus queued jobs the
 	// drain must journal.
 	var ids []string
-	crash, err := s.SubmitAs(JobRequest{
+	crash, err := s.Submit(JobRequest{
 		Configs:    []ConfigEntry{{Name: "mono", Model: "monopath"}},
 		Title:      "boom sweep (IPC)",
 		Benchmarks: []string{"compress"},
 		Insts:      10000,
-	}, "")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids = append(ids, crash.ID)
 	for i := 0; i < 3; i++ {
-		j, err := s.SubmitAs(JobRequest{
+		j, err := s.Submit(JobRequest{
 			Configs:    []ConfigEntry{{Name: "mono", Model: "monopath"}},
 			Benchmarks: []string{"compress"},
 			Insts:      20000,
-		}, "")
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

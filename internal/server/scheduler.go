@@ -5,119 +5,54 @@ import (
 	"sync"
 )
 
-// ErrQueueFull is returned by submit when the global FIFO backlog is at
+// ErrQueueFull is returned by submit when the FIFO backlog is at
 // capacity; the HTTP layer translates it into 429 + Retry-After
 // (backpressure).
 var ErrQueueFull = errors.New("server: job queue full")
 
-// ErrTenantQueueFull is returned when one tenant's queue share is
-// exhausted while the global queue still has room — admission control
-// keeping a hot tenant from starving everyone else. Also 429.
-var ErrTenantQueueFull = errors.New("server: tenant queue full")
-
 // ErrDraining is returned by submit once a graceful drain has begun.
 var ErrDraining = errors.New("server: draining, not accepting jobs")
 
-// scheduler runs jobs from bounded FIFO queues on a fixed pool of worker
-// goroutines. It knows nothing about HTTP or simulation: it moves *Job
-// values from the queues to the run callback, and supports graceful
+// scheduler runs jobs from one bounded FIFO queue on a fixed pool of
+// worker goroutines. It knows nothing about HTTP or simulation: it moves
+// *Job values from the queue to the run callback, and supports graceful
 // drain (in-flight jobs finish; still-queued jobs are handed back for
 // journaling).
-//
-// Fairness: jobs are queued per tenant (Job.Tenant; the empty string is
-// the default tenant) and dispatched round-robin across tenants with a
-// backlog, FIFO within each tenant. With a single tenant this is exactly
-// the old global FIFO. Admission is bounded twice: `capacity` caps the
-// total backlog, `perTenant` caps one tenant's share of it.
 type scheduler struct {
-	mu        sync.Mutex
-	cond      *sync.Cond
-	tenants   map[string]*tenantQueue
-	order     []string // tenant round-robin cycle, insertion order
-	next      int      // round-robin cursor into order
-	size      int      // total queued jobs across tenants
-	capacity  int
-	perTenant int
-	seq       uint64 // arrival stamp, for drain ordering
-	workers   int
-	running   int
-	draining  bool
-	wg        sync.WaitGroup
-	run       func(*Job)
-}
-
-type tenantQueue struct {
-	jobs []*Job
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []*Job
+	capacity int
+	running  int
+	draining bool
+	wg       sync.WaitGroup
+	run      func(*Job)
 }
 
 func newScheduler(workers, capacity int, run func(*Job)) *scheduler {
-	return newTenantScheduler(workers, capacity, capacity, run)
-}
-
-// newTenantScheduler builds a scheduler whose per-tenant backlog share is
-// perTenant (≤ capacity; 0 or less defaults to capacity, i.e. no
-// per-tenant bound beyond the global one).
-func newTenantScheduler(workers, capacity, perTenant int, run func(*Job)) *scheduler {
-	if workers < 1 {
-		workers = 1
-	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	if perTenant < 1 || perTenant > capacity {
-		perTenant = capacity
-	}
-	s := &scheduler{
-		tenants:   make(map[string]*tenantQueue),
-		capacity:  capacity,
-		perTenant: perTenant,
-		workers:   workers,
-		run:       run,
-	}
+	s := &scheduler{capacity: max(capacity, 1), run: run}
 	s.cond = sync.NewCond(&s.mu)
-	for i := 0; i < workers; i++ {
+	for i := 0; i < max(workers, 1); i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
 	return s
 }
 
-// popLocked removes and returns the next job by round-robin across
-// tenants with a backlog (nil when everything is empty). The cursor
-// advances past the chosen tenant so one hot tenant cannot monopolize
-// the workers while others wait.
-func (s *scheduler) popLocked() *Job {
-	n := len(s.order)
-	for i := 0; i < n; i++ {
-		name := s.order[(s.next+i)%n]
-		q := s.tenants[name]
-		if len(q.jobs) == 0 {
-			continue
-		}
-		j := q.jobs[0]
-		q.jobs = q.jobs[1:]
-		s.size--
-		s.next = (s.next + i + 1) % n
-		return j
-	}
-	return nil
-}
-
 func (s *scheduler) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		var j *Job
-		for {
-			if s.draining {
-				s.mu.Unlock()
-				return
-			}
-			if j = s.popLocked(); j != nil {
-				break
-			}
+		for len(s.queue) == 0 && !s.draining {
 			s.cond.Wait()
 		}
+		if s.draining {
+			s.mu.Unlock()
+			return
+		}
+		j := s.queue[0]
+		s.queue[0] = nil // the backing array must not keep a forgotten job alive
+		s.queue = s.queue[1:]
 		s.running++
 		s.mu.Unlock()
 
@@ -130,76 +65,48 @@ func (s *scheduler) worker() {
 	}
 }
 
-// submit appends a job to its tenant's FIFO queue, failing fast when the
-// global backlog or the tenant's share is at capacity, or when the
-// scheduler is draining.
+// submit appends a job to the FIFO queue, failing fast when the backlog
+// is at capacity or the scheduler is draining.
 func (s *scheduler) submit(j *Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return ErrDraining
 	}
-	if s.size >= s.capacity {
+	if len(s.queue) >= s.capacity {
 		return ErrQueueFull
 	}
-	q := s.tenants[j.Tenant]
-	if q == nil {
-		q = &tenantQueue{}
-		s.tenants[j.Tenant] = q
-		s.order = append(s.order, j.Tenant)
-	}
-	if len(q.jobs) >= s.perTenant {
-		return ErrTenantQueueFull
-	}
-	s.seq++
-	j.seq = s.seq
-	q.jobs = append(q.jobs, j)
-	s.size++
+	s.queue = append(s.queue, j)
 	s.cond.Signal()
 	return nil
 }
 
-// remove pulls a specific queued job out of its queue (for cancellation).
+// remove pulls a specific queued job out of the queue (for cancellation).
 // It returns false if the job is not queued (already running, done, or
 // never submitted).
 func (s *scheduler) remove(j *Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	q := s.tenants[j.Tenant]
-	if q == nil {
-		return false
-	}
-	for i, queued := range q.jobs {
+	for i, queued := range s.queue {
 		if queued == j {
-			q.jobs = append(q.jobs[:i], q.jobs[i+1:]...)
-			s.size--
+			s.queue = append(s.queue[:i], s.queue[i+1:]...)
 			return true
 		}
 	}
 	return false
 }
 
-// depth reports the total queued jobs and the number of running jobs.
+// depth reports the queued and the running jobs.
 func (s *scheduler) depth() (queued, running int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.size, s.running
-}
-
-// tenantDepth reports one tenant's backlog.
-func (s *scheduler) tenantDepth(tenant string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if q := s.tenants[tenant]; q != nil {
-		return len(q.jobs)
-	}
-	return 0
+	return len(s.queue), s.running
 }
 
 // drain stops accepting work, lets in-flight jobs finish, shuts the
-// workers down, and returns the jobs still queued — in arrival order
-// across all tenants — so the caller can journal them. Safe to call
-// once; later submits fail with ErrDraining.
+// workers down, and returns the jobs still queued, in arrival order, so
+// the caller can journal them. Safe to call once; later submits fail
+// with ErrDraining.
 func (s *scheduler) drain() []*Job {
 	s.mu.Lock()
 	s.draining = true
@@ -207,20 +114,9 @@ func (s *scheduler) drain() []*Job {
 	for s.running > 0 {
 		s.cond.Wait()
 	}
-	var left []*Job
-	for _, name := range s.order {
-		left = append(left, s.tenants[name].jobs...)
-		s.tenants[name].jobs = nil
-	}
-	s.size = 0
+	left := s.queue
+	s.queue = nil
 	s.mu.Unlock()
 	s.wg.Wait()
-	// Arrival order, not tenant order: the journal replays submissions in
-	// the sequence clients made them.
-	for i := 1; i < len(left); i++ {
-		for k := i; k > 0 && left[k].seq < left[k-1].seq; k-- {
-			left[k], left[k-1] = left[k-1], left[k]
-		}
-	}
 	return left
 }

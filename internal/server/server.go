@@ -79,15 +79,6 @@ type Config struct {
 	// canonical config hash, so memoized cells stay shared with unaudited
 	// runs.
 	Audit pipeline.AuditLevel
-	// TraceLimit is the total number of cycle-level trace events retained
-	// per traced job (default 1<<18). Cells whose captured stream would
-	// exceed the remaining budget are dropped whole and counted. Tracing
-	// is observation-only: results and memoization are unchanged.
-	TraceLimit int
-	// CrashThreshold is how many contained worker crashes (panics or
-	// machine checks) a request signature may accumulate before further
-	// submissions of it are refused with HTTP 403 (default 3).
-	CrashThreshold int
 	// ChaosPanic, when non-empty, makes the worker panic on any job whose
 	// title contains the string — a deliberate crash trigger for chaos
 	// testing the recover/quarantine path. Never set in production.
@@ -120,22 +111,6 @@ type Config struct {
 	// CellTimeout deadlines one cell's whole dispatch, retries and
 	// hedges included (default 2m).
 	CellTimeout time.Duration
-	// CellRetries caps re-dispatches per cell beyond the first attempt
-	// (default 8).
-	CellRetries int
-	// HedgeDelay, when > 0, launches a hedged second attempt when the
-	// owner has not answered within the delay. 0 (the default) hedges
-	// only when the owner stops heartbeating mid-call.
-	HedgeDelay time.Duration
-	// RetryBudget bounds coordinator-wide cell re-dispatches: a token
-	// bucket of RetryBudget burst (default 256) refilled at 64 tokens/s.
-	// A flapping worker degrades throughput; it cannot amplify load
-	// without bound.
-	RetryBudget int
-	// PerTenantQueue caps one tenant's share of the job queue (default:
-	// QueueCapacity, i.e. only the global bound). Tenancy comes from the
-	// X-Tenant request header; queued tenants are served round-robin.
-	PerTenantQueue int
 }
 
 func (c Config) withDefaults() Config {
@@ -144,12 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCapacity < 1 {
 		c.QueueCapacity = 16
-	}
-	if c.TraceLimit < 1 {
-		c.TraceLimit = 1 << 18
-	}
-	if c.CrashThreshold < 1 {
-		c.CrashThreshold = 3
 	}
 	if c.Log == nil {
 		c.Log = log.Default()
@@ -165,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CellTimeout <= 0 {
 		c.CellTimeout = 2 * time.Minute
-	}
-	if c.CellRetries < 1 {
-		c.CellRetries = 8
-	}
-	if c.RetryBudget < 1 {
-		c.RetryBudget = 256
 	}
 	return c
 }
@@ -217,9 +180,26 @@ type Server struct {
 	workerDur      map[string]*metrics.Histogram
 	workerOverflow *metrics.Histogram
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	nextID uint64
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []string // IDs of the finished jobs in jobs, oldest first
+	nextID   uint64
+}
+
+// maxFinishedJobs is how many finished jobs the server keeps: finishing
+// one more forgets the oldest, which then answers 404 on every job route,
+// as every finished job does after a restart. Queued and running jobs are
+// never forgotten.
+const maxFinishedJobs = 1024
+
+// finishedLocked records that j reached a terminal state and forgets the
+// oldest finished job past maxFinishedJobs. The caller holds s.mu.
+func (s *Server) finishedLocked(j *Job) {
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // New builds a Server and, if cfg.JournalPath names a journal left by a
@@ -235,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: coordinator role requires Config.DialWorker")
 	}
 	s := &Server{cfg: cfg, jobs: make(map[string]*Job)}
-	s.quar = newQuarantine(cfg.CrashThreshold)
+	s.quar = newQuarantine(crashThreshold)
 	if cfg.CacheCells > 0 {
 		s.memo = harness.NewLRU[harness.MemoValue](cfg.CacheCells)
 	}
@@ -251,14 +231,14 @@ func New(cfg Config) (*Server, error) {
 			s.svc.WorkersEvicted.Add(1)
 			cfg.Log.Printf("polyserve: worker %s evicted (missed heartbeat lease %s)", id, cfg.LeaseTTL)
 		})
-		s.retryTokens = newTokenBucket(cfg.RetryBudget)
+		s.retryTokens = newTokenBucket()
 	}
 	// Direct cell executions (POST /v1/cells) run at most GOMAXPROCS at a
 	// time; excess calls queue inside their request until a slot frees
 	// or the caller's deadline fires.
 	s.cellSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	s.arenas = arenaPool()
-	s.sched = newTenantScheduler(cfg.Workers, cfg.QueueCapacity, cfg.PerTenantQueue, s.runJob)
+	s.sched = newScheduler(cfg.Workers, cfg.QueueCapacity, s.runJob)
 	s.initMetrics()
 	if cfg.JournalPath != "" {
 		n, err := s.loadJournal(cfg.JournalPath)
@@ -374,16 +354,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// ErrQuarantined is returned by SubmitAs (HTTP 403) for a request whose
-// signature has crashed the worker CrashThreshold times.
+// ErrQuarantined is returned by Submit (HTTP 403) for a request whose
+// signature has crashed the worker crashThreshold times.
 var ErrQuarantined = errors.New("server: request quarantined after repeated worker crashes")
 
-// SubmitAs validates a request and enqueues it under the named
-// fair-queuing tenant ("" is the default tenant), returning the new job.
-// Validation failures are *RequestError (HTTP 400); a full queue is
-// ErrQueueFull (a full tenant share ErrTenantQueueFull), a draining
-// server ErrDraining, and a repeatedly-crashing request ErrQuarantined.
-func (s *Server) SubmitAs(req JobRequest, tenant string) (*Job, error) {
+// Submit validates a request and appends it to the job queue, returning
+// the new job. Validation failures are *RequestError (HTTP 400); a full
+// queue is ErrQueueFull, a draining server ErrDraining, and a
+// repeatedly-crashing request ErrQuarantined.
+func (s *Server) Submit(req JobRequest) (*Job, error) {
 	if s.isCoordinator() && req.Trace {
 		return nil, &RequestError{Err: fmt.Errorf("trace is not supported in coordinator mode: cells execute on remote workers and produce no local trace events")}
 	}
@@ -399,29 +378,22 @@ func (s *Server) SubmitAs(req JobRequest, tenant string) (*Job, error) {
 		State:     JobQueued,
 		Request:   req,
 		Submitted: time.Now().UTC(),
-		Tenant:    tenant,
 		configs:   configs,
 		cells:     newCellLog(req),
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.nextID++
 	j.ID = fmt.Sprintf("job-%06d", s.nextID)
-	s.jobs[j.ID] = j
-	s.mu.Unlock()
-
 	if err := s.sched.submit(j); err != nil {
-		s.mu.Lock()
-		delete(s.jobs, j.ID)
-		s.mu.Unlock()
 		if errors.Is(err, ErrQueueFull) {
 			s.svc.JobsRejected.Add(1)
 		}
-		if errors.Is(err, ErrTenantQueueFull) {
-			s.svc.JobsRejected.Add(1)
-			s.svc.TenantRejected.Add(1)
-		}
 		return nil, err
 	}
+	// runJob and Cancel take s.mu before they can finish the job, so its
+	// accept record always precedes its done record in the journal.
+	s.jobs[j.ID] = j
 	s.walAppend("accept", j)
 	s.svc.JobsSubmitted.Add(1)
 	return j, nil
@@ -463,6 +435,7 @@ func (s *Server) Cancel(id string) (bool, error) {
 			j.State = JobCancelled
 			j.Finished = &now
 			s.svc.JobsCancelled.Add(1)
+			s.finishedLocked(j)
 			s.mu.Unlock()
 			s.walAppend("done", j)
 			return true, nil
@@ -540,12 +513,12 @@ func (s *Server) runJob(j *Job) {
 	}
 	if j.Request.Trace {
 		// Per-cell ring capacity: the client's trace_limit, bounded by the
-		// server's whole-job budget (which also caps total retention).
+		// whole-job budget (which also caps total retention).
 		perCell := j.Request.TraceLimit
-		if perCell <= 0 || perCell > s.cfg.TraceLimit {
-			perCell = s.cfg.TraceLimit
+		if perCell <= 0 || perCell > jobTraceBudget {
+			perCell = jobTraceBudget
 		}
-		tr := newJobTrace(s.cfg.TraceLimit)
+		tr := newJobTrace()
 		s.mu.Lock()
 		j.trace = tr
 		s.mu.Unlock()
@@ -554,7 +527,7 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	text, err, crashed := s.renderContained(j, opts)
-	crashNode := s.cfg.NodeID
+	crashNodes := []string{s.cfg.NodeID}
 	var mce *pipeline.MachineCheckError
 	if errors.As(err, &mce) {
 		// A machine check escaping the simulator is a contained crash just
@@ -563,22 +536,22 @@ func (s *Server) runJob(j *Job) {
 		crashed = true
 		s.svc.WorkerPanics.Add(1)
 	}
-	if node, ok := IsWorkerCrash(err); ok {
-		// A remote worker crashed executing one of this job's cells: the
-		// request counts against quarantine here too, attributed to the
-		// worker node that observed the crash (the worker already counted
+	if nodes, ok := workerCrashes(err); ok {
+		// Remote workers crashed executing one of this job's cells: the
+		// request counts against quarantine here too, attributed to every
+		// worker node that observed a crash (each worker already counted
 		// its own panic; only attribution happens coordinator-side).
 		crashed = true
-		if node != "" {
-			crashNode = node
+		if len(nodes) > 0 {
+			crashNodes = nodes
 		}
 	}
 
 	finished := time.Now().UTC()
 	if crashed {
-		sig, quarantinedNow := s.quar.recordCrash(j.Request, j.describe(), err.Error(), crashNode, finished)
+		sig, quarantinedNow := s.quar.recordCrash(j.Request, j.describe(), err.Error(), crashNodes, finished)
 		if quarantinedNow {
-			s.cfg.Log.Printf("polyserve: quarantined request signature %s after %d crashes (%s, node %s)", sig, s.cfg.CrashThreshold, j.describe(), crashNode)
+			s.cfg.Log.Printf("polyserve: quarantined request signature %s after %d crashes (%s, nodes %s)", sig, crashThreshold, j.describe(), strings.Join(crashNodes, ", "))
 		}
 	}
 	s.mu.Lock()
@@ -601,6 +574,7 @@ func (s *Server) runJob(j *Job) {
 		s.svc.JobsFailed.Add(1)
 	}
 	s.observeJobDuration(j.State, finished.Sub(now))
+	s.finishedLocked(j)
 	s.walAppend("done", j)
 	s.cfg.Log.Printf("polyserve: %s %s (%s) in %s", j.ID, j.State, j.describe(), finished.Sub(now).Round(time.Millisecond))
 }
@@ -694,14 +668,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// writeSubmitError maps a SubmitAs error to its HTTP status.
+// writeSubmitError maps a Submit error to its HTTP status.
 func writeSubmitError(w http.ResponseWriter, err error, queueCapacity int) {
 	var reqErr *RequestError
 	var cfgErr *pipeline.ConfigError
 	switch {
 	case errors.As(err, &cfgErr), errors.As(err, &reqErr):
 		writeError(w, http.StatusBadRequest, err)
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantQueueFull):
+	case errors.Is(err, ErrQueueFull):
 		// Backpressure: tell the client when to come back. The hint
 		// scales with the backlog; precision is not required.
 		w.Header().Set("Retry-After", strconv.Itoa(2*queueCapacity))
@@ -720,7 +694,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	j, err := s.SubmitAs(req, r.Header.Get("X-Tenant"))
+	j, err := s.Submit(req)
 	if err != nil {
 		writeSubmitError(w, err, s.cfg.QueueCapacity)
 		return

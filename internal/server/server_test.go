@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -412,11 +413,11 @@ func TestStandaloneJournalSurvivesAbruptStop(t *testing.T) {
 	s1.sched.drain()
 	s1.sched = newScheduler(1, 4, func(*Job) {})
 	t.Cleanup(func() { s1.sched.drain(); s1.walClose() })
-	accepted, err := s1.SubmitAs(JobRequest{
+	accepted, err := s1.Submit(JobRequest{
 		Configs:    []ConfigEntry{{Name: "mono", Model: "monopath"}},
 		Benchmarks: []string{"compress"},
 		Insts:      10000,
-	}, "")
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,6 +454,44 @@ func TestUnknownJobRoutes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("cancel unknown: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestFinishedJobsForgotten runs 100 more jobs than the server keeps
+// finished: the oldest are forgotten and answer 404 on every job route,
+// and exactly maxFinishedJobs remain.
+func TestFinishedJobsForgotten(t *testing.T) {
+	s, ts := newTestServer(t, Config{QueueCapacity: 2 * maxFinishedJobs, CacheCells: 16})
+	req := JobRequest{Configs: []ConfigEntry{{Name: "mono", Model: "monopath"}}, Benchmarks: []string{"compress"}, Insts: 2000}
+	const n = maxFinishedJobs + 100
+	for i := 0; i < n; i++ {
+		if _, err := s.Submit(req); err != nil {
+			t.Fatalf("submit %d: %v", i+1, err)
+		}
+	}
+	waitFor(t, func() bool { return s.Stats().JobsCompleted == n })
+	s.mu.Lock()
+	kept, finished := len(s.jobs), len(s.finished)
+	s.mu.Unlock()
+	if kept != maxFinishedJobs || finished != maxFinishedJobs {
+		t.Fatalf("server keeps %d jobs (%d finished), want %d", kept, finished, maxFinishedJobs)
+	}
+	if _, ok := s.Job("job-000001"); ok {
+		t.Fatal("job-000001 is still known after 1,124 jobs finished")
+	}
+	if _, ok := s.Job(fmt.Sprintf("job-%06d", n)); !ok {
+		t.Fatal("the newest job was forgotten")
+	}
+	for _, route := range []string{"/v1/jobs/job-000001", "/v1/results/job-000001", "/v1/jobs/job-000001/cells", "/v1/jobs/job-000001/trace"} {
+		url := ts.URL + route
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", url, resp.StatusCode)
+		}
 	}
 }
 

@@ -29,7 +29,11 @@ type jobTrace struct {
 	droppedCells int
 }
 
-func newJobTrace(budget int) *jobTrace { return &jobTrace{budget: budget} }
+// jobTraceBudget is the total number of trace events one traced job
+// retains; a request's trace_limit can only lower the per-cell share.
+const jobTraceBudget = 1 << 18
+
+func newJobTrace() *jobTrace { return &jobTrace{budget: jobTraceBudget} }
 
 // add stores one simulated cell's captured events (an Options.OnTrace
 // callback; may run concurrently on harness workers).

@@ -31,7 +31,6 @@ func (s *Service) Register(reg *metrics.Registry) {
 	ctr("polyserve_cells_redispatched_total", "", "Cell re-dispatches after a worker failure, eviction, or hedge.", &s.CellsRedispatched)
 	ctr("polyserve_retry_budget_exhausted_total", "", "Cells failed because the dispatch retry budget ran dry.", &s.RetryBudgetExhausted)
 	ctr("polyserve_workers_evicted_total", "", "Workers evicted after missing their heartbeat lease.", &s.WorkersEvicted)
-	ctr("polyserve_tenant_rejected_total", "", "Submissions rejected by a full per-tenant queue.", &s.TenantRejected)
 	ctr("polyserve_store_ops_total", `op="hit"`, "Shared result-store operations: hits, puts, write conflicts and write errors.", &s.StoreHits)
 	ctr("polyserve_store_ops_total", `op="put"`, "", &s.StorePuts)
 	ctr("polyserve_store_ops_total", `op="conflict"`, "", &s.StoreConflicts)

@@ -3,11 +3,11 @@ package stats
 import "sync/atomic"
 
 // Service accumulates the operational counters of a long-running
-// simulation service (polyserve): job lifecycle counts, memoization
-// effectiveness, aggregate simulation throughput, and fleet dispatch and
-// result-store traffic. All fields are updated with atomics so the hot
-// path (worker goroutines reporting per-cell completions) never contends
-// on a lock.
+// simulation service (polyserve): job lifecycle counts (a rejected job
+// met a full job queue), memoization effectiveness, aggregate simulation
+// throughput, and fleet dispatch and result-store traffic. All fields are
+// updated with atomics so the hot path (worker goroutines reporting
+// per-cell completions) never contends on a lock.
 type Service struct {
 	JobsSubmitted atomic.Uint64
 	JobsCompleted atomic.Uint64
@@ -32,7 +32,6 @@ type Service struct {
 	CellsRedispatched    atomic.Uint64 // re-dispatches after a worker failure, eviction, or hedge
 	RetryBudgetExhausted atomic.Uint64 // cells failed because the dispatch retry budget ran dry
 	WorkersEvicted       atomic.Uint64 // workers evicted after missing their heartbeat lease
-	TenantRejected       atomic.Uint64 // submissions rejected by a full per-tenant queue
 	StoreHits            atomic.Uint64 // cells served from the shared content-addressed result store
 	StorePuts            atomic.Uint64 // results written to the store
 	StoreConflicts       atomic.Uint64 // store writes that disagreed with an existing result (determinism violation)
@@ -65,7 +64,6 @@ type ServiceSnapshot struct {
 	CellsRedispatched    uint64 `json:"cells_redispatched,omitempty"`
 	RetryBudgetExhausted uint64 `json:"retry_budget_exhausted,omitempty"`
 	WorkersEvicted       uint64 `json:"workers_evicted,omitempty"`
-	TenantRejected       uint64 `json:"tenant_rejected,omitempty"`
 	StoreHits            uint64 `json:"store_hits,omitempty"`
 	StorePuts            uint64 `json:"store_puts,omitempty"`
 	StoreConflicts       uint64 `json:"store_conflicts,omitempty"`
@@ -98,7 +96,6 @@ func (s *Service) Snapshot() ServiceSnapshot {
 	snap.CellsRedispatched = s.CellsRedispatched.Load()
 	snap.RetryBudgetExhausted = s.RetryBudgetExhausted.Load()
 	snap.WorkersEvicted = s.WorkersEvicted.Load()
-	snap.TenantRejected = s.TenantRejected.Load()
 	snap.StoreHits = s.StoreHits.Load()
 	snap.StorePuts = s.StorePuts.Load()
 	snap.StoreConflicts = s.StoreConflicts.Load()

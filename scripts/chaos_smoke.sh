@@ -12,7 +12,8 @@
 #      nothing (auditing is observation-only).
 #   3. Crash containment: a polyserve worker panicking repeatedly fails only
 #      its own jobs; the service stays healthy, and the offending request is
-#      quarantined (HTTP 403 + /v1/quarantine) after 3 crashes.
+#      quarantined (HTTP 403 + /v1/quarantine) after 3 crashes, polyserve's
+#      fixed threshold.
 #   4. Journal recovery: a restart over a journal with a torn (half-written)
 #      record resumes every intact record and counts the damage in
 #      journal_dropped, instead of failing startup or losing jobs.
@@ -63,7 +64,7 @@ JOURNAL="$WORKDIR/polyserve.journal"
 
 echo "== 3. worker panics are contained and the request is quarantined =="
 "$WORKDIR/polyserve" -addr "127.0.0.1:$PORT" -journal "$JOURNAL" \
-    -chaos-panic boom -crash-threshold 3 &
+    -chaos-panic boom &
 SERVER_PID=$!
 wait_healthy
 echo "healthz ok"
