@@ -134,10 +134,12 @@ chaos-smoke:
 # copy-on-write memory against a flat model, the PBT1 trace decoder, the
 # config-document decoder, polyserve's journal loader, and polyserve's
 # request decoders (job and cell bodies).
-# Shrinking a new input stops after 100 executions, so a large seed (the
-# request decoders' 200 kB long-title body) cannot spend the budget
-# minimizing instead of exploring. Any crasher is a real bug; commit it as
-# a seed under the package's testdata/fuzz.
+# -fuzzminimizetime 100x stops shrinking each new interesting input after
+# 100 executions. By default the engine minimizes one for up to 60 s and
+# leaves those executions out of its count, so a 5 s FuzzLoadJournal run
+# spends its whole budget shrinking its first find and reports 5-10
+# executions, against about 2,000-3,500 with the cap. Any crasher is a
+# real bug; commit it as a seed under the package's testdata/fuzz.
 fuzz-smoke:
 	@set -e; for t in FuzzPipelineVsInterp:./internal/isa/progfuzz \
 		FuzzMemory:./internal/isa FuzzTraceDecode:./internal/btrace \

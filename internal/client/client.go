@@ -101,7 +101,7 @@ func errText(data []byte, fallback string) string {
 // Submit posts a job request and returns the accepted job.
 func (c *Client) Submit(ctx context.Context, req server.JobRequest) (server.Job, error) {
 	var j server.Job
-	body, err := json.Marshal(req)
+	body, err := server.EncodeRequest(req)
 	if err != nil {
 		return j, err
 	}

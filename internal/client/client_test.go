@@ -187,3 +187,33 @@ func TestRunAgainstRealServer(t *testing.T) {
 		t.Fatalf("result: cells=%d text:\n%s", done.Result.Cells, done.Result.Text)
 	}
 }
+
+// TestSubmitLongTitleAccepted submits a job whose title is 200,000 "<"
+// through the client. Sent raw, the body is about 200 kB, well inside the
+// server's 1 MiB cap; json.Marshal would escape each "<" as six bytes and
+// push it to 1.2 MB. The client must encode it as the server reads it.
+func TestSubmitLongTitleAccepted(t *testing.T) {
+	srv, err := server.New(server.Config{CacheCells: 16, Log: testLogger(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() { srv.Drain() })
+
+	title := strings.Repeat("<", 200_000)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	j, err := New(ts.URL).Submit(ctx, server.JobRequest{
+		Title:      title,
+		Configs:    []server.ConfigEntry{{Name: "mono", Model: "monopath"}},
+		Benchmarks: []string{"compress"},
+		Insts:      1000,
+	})
+	if err != nil {
+		t.Fatalf("long-title submit refused: %v", err)
+	}
+	if got, _ := srv.Job(j.ID); got.Request.Title != title {
+		t.Fatalf("server holds a %d-byte title, want the %d sent", len(got.Request.Title), len(title))
+	}
+}

@@ -42,7 +42,7 @@ func DialWorker(addr string) server.WorkerCaller {
 // crash attribution from the fleet protocol headers.
 func (w *workerCaller) RunCell(ctx context.Context, req server.CellRequest) (server.CellResponse, error) {
 	var out server.CellResponse
-	body, err := json.Marshal(req)
+	body, err := server.EncodeRequest(req)
 	if err != nil {
 		return out, &server.CellCallError{Err: err}
 	}
@@ -80,7 +80,7 @@ func (w *workerCaller) RunCell(ctx context.Context, req server.CellRequest) (ser
 // granted lease.
 func (c *Client) RegisterWorker(ctx context.Context, reg server.WorkerRegistration) (server.WorkerLease, error) {
 	var lease server.WorkerLease
-	body, err := json.Marshal(reg)
+	body, err := server.EncodeRequest(reg)
 	if err != nil {
 		return lease, err
 	}

@@ -116,6 +116,38 @@ func (t Tag) OnWrongPath(pos int, outcome bool) bool {
 	return t.Valid(pos) && t.Taken(pos) != outcome
 }
 
+// Subtree is a precomputed kill-bus match: the set of tags that hold a
+// fixed direction at each position of a fixed mask. Both of the kill
+// buses' comparisons take this form, so a sweep builds one Subtree and
+// tests every in-flight tag against it with two masked compares.
+type Subtree struct {
+	mask uint32 // positions the tag must hold
+	dir  uint32 // required direction at each position of mask
+}
+
+// SubtreeOf matches t and every descendant of t:
+// SubtreeOf(t).Contains(u) == t.IsAncestorOrSelf(u).
+func SubtreeOf(t Tag) Subtree {
+	return Subtree{mask: t.valid, dir: t.dir & t.valid}
+}
+
+// WrongSide matches the tags on the wrong side of a branch that resolved
+// with the given outcome at history position pos:
+// WrongSide(pos, outcome).Contains(u) == u.OnWrongPath(pos, outcome).
+func WrongSide(pos int, outcome bool) Subtree {
+	checkPos(pos)
+	s := Subtree{mask: 1 << uint(pos)}
+	if !outcome {
+		s.dir = s.mask
+	}
+	return s
+}
+
+// Contains reports whether u lies in the subtree.
+func (s Subtree) Contains(u Tag) bool {
+	return u.valid&s.mask == s.mask && u.dir&s.mask == s.dir
+}
+
 // String renders the tag in the paper's T/N/X notation, position 0 first,
 // trimmed to the highest valid position (minimum 4 positions shown).
 func (t Tag) String() string {

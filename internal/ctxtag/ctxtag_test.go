@@ -314,3 +314,58 @@ func TestTagLifecycleWithAllocator(t *testing.T) {
 		t.Error("cleared position should not block ancestry")
 	}
 }
+
+// TestSubtreeMatchesTagPredicates pins the kill buses' precomputed
+// matcher to the tag predicates it replaces: SubtreeOf(t) must accept
+// exactly t's descendants and WrongSide(p, o) exactly the tags
+// OnWrongPath(p, o). It is exhaustive over all 27 tags of a 3-position
+// space (each position invalid, not taken or taken), every pair and
+// every resolution, then samples random pairs over all 32 positions.
+func TestSubtreeMatchesTagPredicates(t *testing.T) {
+	check := func(a, b Tag) {
+		t.Helper()
+		if got, want := SubtreeOf(a).Contains(b), a.IsAncestorOrSelf(b); got != want {
+			t.Fatalf("SubtreeOf(%s).Contains(%s) = %v, IsAncestorOrSelf %v", a, b, got, want)
+		}
+		for pos := 0; pos < MaxPositions; pos++ {
+			for _, outcome := range []bool{false, true} {
+				if got, want := WrongSide(pos, outcome).Contains(b), b.OnWrongPath(pos, outcome); got != want {
+					t.Fatalf("WrongSide(%d, %v).Contains(%s) = %v, OnWrongPath %v", pos, outcome, b, got, want)
+				}
+			}
+		}
+	}
+
+	var small []Tag
+	for code := 0; code < 27; code++ {
+		tg := Root()
+		for pos, c := 0, code; pos < 3; pos, c = pos+1, c/3 {
+			if c%3 != 0 {
+				tg = tg.WithPosition(pos, c%3 == 2)
+			}
+		}
+		small = append(small, tg)
+	}
+	for _, a := range small {
+		for _, b := range small {
+			check(a, b)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 5000; i++ {
+		a := tagFromBits(rng.Uint32(), rng.Uint32())
+		b := tagFromBits(rng.Uint32(), rng.Uint32())
+		if i%2 == 0 {
+			// Half the pairs are related, so both answers are drawn.
+			b = a
+			for pos := 0; pos < MaxPositions; pos++ {
+				if rng.Intn(4) == 0 {
+					b = b.WithPosition(pos, rng.Intn(2) == 0)
+				}
+			}
+		}
+		check(a, b)
+		check(b, a)
+	}
+}

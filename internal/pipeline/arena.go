@@ -123,19 +123,11 @@ func takeWords(s []uint64, n int) []uint64 {
 	return s
 }
 
-// takePhys returns an n-length PhysReg slice reusing s's capacity. Values
+// takeOps returns an n-length soaOp slice reusing s's capacity. Values
 // are not cleared: every live slot is overwritten by soaSet before use.
-func takePhys(s []rename.PhysReg, n int) []rename.PhysReg {
+func takeOps(s []soaOp, n int) []soaOp {
 	if cap(s) < n {
-		return make([]rename.PhysReg, n)
-	}
-	return s[:n]
-}
-
-// takeBytes returns an n-length byte slice reusing s's capacity.
-func takeBytes(s []uint8, n int) []uint8 {
-	if cap(s) < n {
-		return make([]uint8, n)
+		return make([]soaOp, n)
 	}
 	return s[:n]
 }
@@ -218,8 +210,9 @@ func (a *Arena) takeFrontEnd(n int) [][]*entry {
 }
 
 // takePools moves the object pools out of the arena. Pooled latches are
-// shape-independent, and fetch zeroes a pooled entry before use except
-// for its RAS snapshot buffer, whose depth snapshotRAS checks.
+// shape-independent. Fetch resets a pooled entry's flags and overwrites
+// its other fields before use, except for its RAS snapshot buffer, whose
+// depth snapshotRAS checks.
 func (a *Arena) takePools() (es []*entry, ls [][]*entry, fps []*path) {
 	es, ls, fps = a.entryPool, a.latchPool, a.fpsScratch
 	a.entryPool, a.latchPool, a.fpsScratch = nil, nil, nil

@@ -173,9 +173,9 @@ func (m *Machine) auditPaths() {
 // position must be owned by exactly one in-flight divergent branch, the
 // divergence counter must match the unresolved divergences in flight, every
 // valid position in any in-flight tag must be backed by an allocated
-// position, and every in-flight instruction must carry exactly its path's
-// tag — the property the store buffer's path-ancestry forwarding filter and
-// the kill buses rely on.
+// position owned by an older divergent branch, and every in-flight
+// instruction must carry exactly its path's tag — the properties the store
+// buffer's path-ancestry forwarding filter and the kill buses rely on.
 func (m *Machine) auditCtxTags() {
 	owners := m.auditScratchInts(m.ctxAlloc.Width())
 	divergences := 0
@@ -229,6 +229,43 @@ func (m *Machine) auditCtxTags() {
 	}
 	if got := m.ctxAlloc.InUse(); got != inUse {
 		m.machineCheckf("ctx-refcount", -1, "allocator holds %d history positions, %d owned by in-flight branches (leak)", got, inUse)
+	}
+
+	// Every valid position of an in-flight tag belongs to a divergent
+	// branch older than the instruction: killWrongSubtree starts its
+	// sweep past the branch on this. Ownership is unique by now, so the
+	// scratch is reused to hold each position's owning seq (0: unowned).
+	ownerSeq := owners
+	clear(ownerSeq)
+	for _, e := range m.window {
+		if e.diverged {
+			ownerSeq[e.histPos] = int(e.seq)
+		}
+	}
+	for _, latch := range m.frontEnd {
+		for _, f := range latch {
+			if f.diverged {
+				ownerSeq[f.histPos] = int(f.seq)
+			}
+		}
+	}
+	for _, e := range m.window {
+		m.auditTagOwners(e, ownerSeq)
+	}
+	for _, latch := range m.frontEnd {
+		for _, f := range latch {
+			m.auditTagOwners(f, ownerSeq)
+		}
+	}
+}
+
+// auditTagOwners checks that every valid position of e's tag is owned by
+// a divergent branch older than e, given each position's owning seq.
+func (m *Machine) auditTagOwners(e *entry, ownerSeq []int) {
+	for pos, seq := range ownerSeq {
+		if e.tag.Valid(pos) && uint64(seq) >= e.seq {
+			m.machineCheckf("ctx-refcount", e.pc, "entry seq %d tag %s holds history position %d of divergent branch seq %d, which is not older", e.seq, e.tag, pos, seq)
+		}
 	}
 }
 

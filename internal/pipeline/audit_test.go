@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -331,4 +332,63 @@ func TestEntryOnReusedCtxSlot(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no entry outlived its path into a reused CTX slot; the test exercised nothing")
 	}
+}
+
+// TestAuditTagPositionOwnedByOlderBranch plants the fault the kill
+// sweep's seq bound would miss: an entry older than a divergent branch
+// given that branch's history position. killWrongSubtree starts its sweep
+// past the branch, so such an entry would survive a kill it belongs to,
+// and the auditor must flag it. The tag-drift check would fire first on
+// an entry of a live path, so the fault is planted on an entry whose path
+// is no longer live.
+func TestAuditTagPositionOwnedByOlderBranch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Confidence.Kind = ConfAlwaysLow // diverge at every branch
+	m, err := New(sumProgram(2000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := func() (err error) {
+		defer func() { m.containMachineCheck(recover(), &err) }()
+		m.runAudit()
+		return nil
+	}
+	for !m.Halted() {
+		m.Step()
+		var branch, victim *entry
+		for _, e := range m.window {
+			if e.diverged {
+				branch = e
+				break
+			}
+		}
+		if branch == nil {
+			continue
+		}
+		for _, e := range m.window {
+			if e.seq < branch.seq && !e.onLivePath() && !e.tag.Valid(branch.histPos) {
+				victim = e
+				break
+			}
+		}
+		if victim == nil {
+			continue
+		}
+		if err := audit(); err != nil {
+			t.Fatalf("cycle %d: auditor flagged a healthy machine: %v", m.Cycle(), err)
+		}
+		victim.tag = victim.tag.WithPosition(branch.histPos, true)
+		var mce *MachineCheckError
+		if err := audit(); !errors.As(err, &mce) {
+			t.Fatalf("cycle %d: entry seq %d given position %d of younger branch seq %d went undetected: %v",
+				m.Cycle(), victim.seq, branch.histPos, branch.seq, err)
+		}
+		want := fmt.Sprintf("entry seq %d tag %s holds history position %d of divergent branch seq %d, which is not older",
+			victim.seq, victim.tag, branch.histPos, branch.seq)
+		if mce.Check != "ctx-refcount" || mce.Detail != want {
+			t.Fatalf("planted fault raised [%s] %q, want [ctx-refcount] %q", mce.Check, mce.Detail, want)
+		}
+		return
+	}
+	t.Fatal("no entry older than a divergent branch outlived its path; the test exercised nothing")
 }

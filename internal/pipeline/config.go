@@ -298,6 +298,10 @@ func DefaultConfig() Config {
 // PipelineDepth returns the total pipeline depth as the paper counts it.
 func (c Config) PipelineDepth() int { return c.FrontEndStages + 3 }
 
+// maxPhysRegs bounds Config.PhysRegs: a rename.PhysReg is a uint16, and
+// the machine numbers its sentinel register PhysRegs (Machine.unreadReg).
+const maxPhysRegs = 1<<16 - 1
+
 // normalize fills derived defaults and validates. Every violation is
 // reported as a *ConfigError; nothing in here (or downstream of a
 // normalized config) panics on user-supplied values.
@@ -324,6 +328,8 @@ func (c Config) normalize() (Config, error) {
 		return c, cfgErr("NumIntType0/NumIntType1/NumFPAdd/NumFPMul/NumMemPorts", "need at least one functional unit of each type")
 	case c.PhysRegs < 32+c.WindowSize:
 		return c, cfgErr("PhysRegs", "%d cannot cover 32 logical + %d window entries", c.PhysRegs, c.WindowSize)
+	case c.PhysRegs > maxPhysRegs:
+		return c, cfgErr("PhysRegs", "%d exceeds %d: register numbers are 16 bits, and the sentinel register takes the number after the last", c.PhysRegs, maxPhysRegs)
 	case c.Checkpoints < 1:
 		return c, cfgErr("Checkpoints", "need at least one checkpoint")
 	case c.CtxHistoryWidth < 1 || c.CtxHistoryWidth > ctxtag.MaxPositions:

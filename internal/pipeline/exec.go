@@ -51,7 +51,7 @@ func (m *Machine) issue() {
 		for t := sta; t != 0; t &= t - 1 {
 			b := bits.TrailingZeros64(t)
 			pos := w<<6 | b
-			if s.flags[pos]&fReadsSrc1 != 0 && !m.physReady.Test(s.src1[pos]) {
+			if m.physReady.Bit(s.ops[pos].src1) == 0 {
 				continue
 			}
 			e := m.winBuf[pos]
@@ -64,51 +64,34 @@ func (m *Machine) issue() {
 
 	// Select: walk waiting bits oldest-first, wake against the physical
 	// register readiness bitmap, issue against functional-unit
-	// availability.
-	availInt0 := m.cfg.NumIntType0
-	availInt1 := m.cfg.NumIntType1
-	availFPAdd := m.cfg.NumFPAdd
-	availFPMul := m.cfg.NumFPMul
-	availMem := m.cfg.NumMemPorts
+	// availability. avail is indexed by the unit class an instruction
+	// takes; an int-either instruction takes a type-0 unit while one is
+	// free, else a type-1 unit. left counts every free unit, so the walk
+	// ends once all are taken.
+	var avail [isa.NumFUClasses]int
+	avail[isa.ClassIntType0] = m.cfg.NumIntType0
+	avail[isa.ClassIntType1] = m.cfg.NumIntType1
+	avail[isa.ClassFPAdd] = m.cfg.NumFPAdd
+	avail[isa.ClassFPMul] = m.cfg.NumFPMul
+	avail[isa.ClassMem] = m.cfg.NumMemPorts
+	left := m.cfg.NumIntType0 + m.cfg.NumIntType1 + m.cfg.NumFPAdd + m.cfg.NumFPMul + m.cfg.NumMemPorts
 	for w := loW; w <= hiW; w++ {
 		for cand := s.waitW[w]; cand != 0; cand &= cand - 1 {
 			b := bits.TrailingZeros64(cand)
 			pos := w<<6 | b
 
-			fl := s.flags[pos]
-			if fl&fReadsSrc1 != 0 && !m.physReady.Test(s.src1[pos]) {
+			op := &s.ops[pos]
+			if m.physReady.Bit(op.src1)&m.physReady.Bit(op.src2) == 0 {
 				continue
 			}
-			if fl&fReadsSrc2 != 0 && !m.physReady.Test(s.src2[pos]) {
-				continue
-			}
-
-			var unit isa.FUClass
-			ok := false
-			switch isa.FUClass(s.class[pos]) {
-			case isa.ClassIntEither:
-				if availInt0 > 0 {
-					unit, ok = isa.ClassIntType0, true
-				} else if availInt1 > 0 {
-					unit, ok = isa.ClassIntType1, true
-				}
-			case isa.ClassIntType0:
-				ok = availInt0 > 0
+			unit := isa.FUClass(op.class)
+			if unit == isa.ClassIntEither {
 				unit = isa.ClassIntType0
-			case isa.ClassIntType1:
-				ok = availInt1 > 0
-				unit = isa.ClassIntType1
-			case isa.ClassMem:
-				ok = availMem > 0
-				unit = isa.ClassMem
-			case isa.ClassFPAdd:
-				ok = availFPAdd > 0
-				unit = isa.ClassFPAdd
-			case isa.ClassFPMul:
-				ok = availFPMul > 0
-				unit = isa.ClassFPMul
+				if avail[isa.ClassIntType0] == 0 {
+					unit = isa.ClassIntType1
+				}
 			}
-			if !ok {
+			if avail[unit] == 0 {
 				continue
 			}
 
@@ -139,19 +122,8 @@ func (m *Machine) issue() {
 				m.emit(TraceIssue, e.seq, e.pc, e.path, e.tag, unit.String())
 			}
 			m.Stats.FUIssued[unit]++
-			switch unit {
-			case isa.ClassIntType0:
-				availInt0--
-			case isa.ClassIntType1:
-				availInt1--
-			case isa.ClassFPAdd:
-				availFPAdd--
-			case isa.ClassFPMul:
-				availFPMul--
-			case isa.ClassMem:
-				availMem--
-			}
-			if availInt0|availInt1|availFPAdd|availFPMul|availMem == 0 {
+			avail[unit]--
+			if left--; left == 0 {
 				return // every unit consumed; nothing left to select
 			}
 		}
@@ -159,31 +131,26 @@ func (m *Machine) issue() {
 }
 
 // execute computes e's result with real operand values (the execution-
-// driven contract: wrong paths compute wrong values).
+// driven contract: wrong paths compute wrong values). An operand the
+// instruction does not read names the sentinel register, whose value is 0.
 func (m *Machine) execute(e *entry) {
-	var v1, v2 int64
-	if e.readsSrc1 {
-		v1 = m.physVal[e.src1Phys]
-	}
-	if e.readsSrc2 {
-		v2 = m.physVal[e.src2Phys]
-	}
-	op := e.inst.Op
-	switch {
-	case op.IsCondBranch():
-		e.outcome = isa.EvalBranch(op, v1, v2)
-	case op == isa.Jmp:
+	v1 := m.physVal[e.src1Phys]
+	v2 := m.physVal[e.src2Phys]
+	switch e.kind {
+	case dkCond:
+		e.outcome = isa.EvalBranch(e.inst.Op, v1, v2)
+	case dkJmp:
 		// Direct jump: nothing to compute.
-	case op == isa.Jri || op == isa.Ret:
+	case dkIndirect:
 		e.actualTarget = isa.IndirectTarget(v1, len(m.prog.Code))
-	case op == isa.Call:
+	case dkCall:
 		e.result = int64(e.pc + 1) // the link value
-	case op == isa.Store:
+	case dkStore:
 		e.addr = isa.EffAddr(v1, e.inst.Imm, m.prog.MemWords)
 		e.addrReady = true
 		e.storeData = v2
 	default:
-		e.result = isa.EvalALU(op, v1, v2, e.inst.Imm)
+		e.result = isa.EvalALU(e.inst.Op, v1, v2, e.inst.Imm)
 	}
 }
 
@@ -252,7 +219,12 @@ func (m *Machine) writeback() {
 	slot := m.cycle & m.ringMask
 	completing := m.ring[slot]
 	m.ring[slot] = nil
+	// buses counts the resolution buses still free this cycle. Without a
+	// limit it starts at -1, so the decrements never bring it to 0.
 	buses := m.cfg.ResolutionBuses
+	if buses == 0 {
+		buses = -1
+	}
 	for _, e := range completing {
 		if e.killed {
 			// Dropped from the ring: the last reference to a squashed
@@ -260,7 +232,7 @@ func (m *Machine) writeback() {
 			m.freeEntry(e)
 			continue
 		}
-		if (e.isBranch || e.isIndirect) && m.cfg.ResolutionBuses > 0 && buses == 0 {
+		if buses == 0 && (e.isBranch || e.isIndirect) {
 			// All resolution buses are occupied this cycle; the branch
 			// retries next cycle (Sec. 3.2.3's bus-contention case).
 			next := (m.cycle + 1) & m.ringMask
@@ -307,7 +279,7 @@ func (m *Machine) resolve(e *entry) {
 	e.path.pendingBranches--
 	if e.diverged {
 		m.divergences--
-		m.killWrongSubtree(e.histPos, e.outcome)
+		m.killWrongSubtree(e)
 		m.releaseCkpt(e)
 	} else if e.outcome == e.predTaken {
 		m.releaseCkpt(e)
@@ -324,12 +296,16 @@ func (m *Machine) releaseCkpt(e *entry) {
 	}
 }
 
-// killWrongSubtree kills every instruction and path on the wrong side of a
-// resolved divergence: exactly the entries whose CTX tag has the branch's
-// history position valid with the opposite direction.
-func (m *Machine) killWrongSubtree(pos int, outcome bool) {
+// killWrongSubtree kills every instruction and path on the wrong side of
+// divergent branch e's resolution: exactly the entries whose CTX tag has
+// the branch's history position valid with the opposite direction. Only
+// instructions younger than e can hold that position: it was free when e
+// was fetched, so no in-flight tag held it then (auditTag), and only the
+// paths e created carry it since (auditTagOwners). The sweep therefore
+// starts past e.
+func (m *Machine) killWrongSubtree(e *entry) {
 	m.Stats.WrongSubtreeKills++
-	m.killMatching(0, func(t ctxtag.Tag) bool { return t.OnWrongPath(pos, outcome) }, nil)
+	m.killMatching(e.seq, ctxtag.WrongSide(e.histPos, e.outcome), nil)
 }
 
 // recoverMispredict is conventional monopath recovery: kill all younger
@@ -348,8 +324,7 @@ func (m *Machine) recoverMispredict(e *entry) {
 	p.halted = false
 	p.divergedParent = false
 
-	bt := e.tag
-	m.killMatching(e.seq, func(t ctxtag.Tag) bool { return bt.IsAncestorOrSelf(t) }, p)
+	m.killMatching(e.seq, ctxtag.SubtreeOf(e.tag), p)
 
 	ghr := m.ckpts.Restore(e.ckptID, p.regmap)
 	if m.hasCallRet {
@@ -373,33 +348,47 @@ func (m *Machine) recoverMispredict(e *entry) {
 }
 
 // killMatching squashes window entries and front-end instructions with
-// seq > minSeq whose tag satisfies pred, and releases matching paths
-// (except protect). This is the hardware's parallel tag-match kill,
-// expressed sequentially.
-func (m *Machine) killMatching(minSeq uint64, pred func(ctxtag.Tag) bool, protect *path) {
-	kept := m.window[:0]
+// seq > minSeq whose tag lies in sub, and releases the paths whose tag
+// lies in sub (except protect). This is the hardware's parallel tag-match
+// kill, expressed sequentially.
+//
+// The window is in seq order (auditWindow), so the entries at or below
+// minSeq are a prefix, found by binary search. The sweep neither tests
+// nor moves them.
+func (m *Machine) killMatching(minSeq uint64, sub ctxtag.Subtree, protect *path) {
+	win := m.window
+	lo, hi := 0, len(win)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if win[mid].seq > minSeq {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	kept := lo
 	firstKilled := -1
-	for i, e := range m.window {
-		if e.seq > minSeq && pred(e.tag) {
+	for i := lo; i < len(win); i++ {
+		e := win[i]
+		if sub.Contains(e.tag) {
 			if firstKilled < 0 {
 				firstKilled = i
 			}
 			m.killEntry(e)
 		} else {
-			kept = append(kept, e)
+			win[kept] = e
+			kept++
 		}
 	}
-	// Clear the tail so killed entries do not linger in the backing array.
-	oldLen := len(m.window)
-	for i := len(kept); i < oldLen; i++ {
-		m.window[i] = nil
-	}
-	m.window = kept
 	if firstKilled >= 0 {
+		// Clear the tail so killed entries do not linger in the backing
+		// array.
+		clear(win[kept:])
+		m.window = win[:kept]
 		// Entries below the first kill kept their winBuf slots; only the
 		// shifted survivors above it need their scheduler state re-derived
 		// (kills target young subtrees, so this is usually a short suffix).
-		m.soaRebuildFrom(firstKilled, oldLen)
+		m.soaRebuildFrom(firstKilled, len(win))
 	}
 
 	for i, latch := range m.frontEnd {
@@ -408,7 +397,7 @@ func (m *Machine) killMatching(minSeq uint64, pred func(ctxtag.Tag) bool, protec
 		}
 		keptF := latch[:0]
 		for _, f := range latch {
-			if f.seq > minSeq && pred(f.tag) {
+			if f.seq > minSeq && sub.Contains(f.tag) {
 				m.killEntry(f)
 			} else {
 				keptF = append(keptF, f)
@@ -426,7 +415,7 @@ func (m *Machine) killMatching(minSeq uint64, pred func(ctxtag.Tag) bool, protec
 	}
 
 	for i := range m.slots {
-		if p := &m.slots[i].path; p.live && p != protect && pred(p.tag) {
+		if p := &m.slots[i].path; p.live && p != protect && sub.Contains(p.tag) {
 			m.releasePath(p)
 		}
 	}
@@ -622,8 +611,7 @@ func (m *Machine) recoverIndirect(e *entry) {
 	p.halted = false
 	p.divergedParent = false
 
-	bt := e.tag
-	m.killMatching(e.seq, func(t ctxtag.Tag) bool { return bt.IsAncestorOrSelf(t) }, p)
+	m.killMatching(e.seq, ctxtag.SubtreeOf(e.tag), p)
 
 	ghr := m.ckpts.Restore(e.ckptID, p.regmap)
 	if m.hasCallRet {

@@ -88,20 +88,20 @@ func (m *Machine) fetchPath(p *path, grant int, out *[]*entry) int {
 		in := m.prog.Code[pc]
 		f := m.fetchEntry(p, pc, in)
 		switch m.deco[pc].kind {
-		case fkJmp:
+		case dkJmp:
 			// Direct jump: the target is known at fetch; redirect with no
 			// bubble (multi-block fetch).
 			p.fetchPC = int(in.Target)
-		case fkHalt:
+		case dkHalt:
 			p.halted = true
-		case fkCond:
+		case dkCond:
 			m.fetchBranch(p, f)
-		case fkCall:
+		case dkCall:
 			// Direct call: redirect and push the return address onto this
 			// path's speculative return-address stack.
 			p.ras.Push(pc + 1)
 			p.fetchPC = int(in.Target)
-		case fkIndirect:
+		case dkIndirect:
 			m.fetchIndirect(p, f)
 		default:
 			p.fetchPC = pc + 1

@@ -56,8 +56,10 @@ func (m *Machine) renameOne(e *entry) bool {
 
 	e.class = d.class
 	e.lat = d.lat
+	e.kind = d.kind
 	e.isLoad = d.isLoad
 	e.isStore = d.isStore
+	e.src1Phys, e.src2Phys = m.unreadReg, m.unreadReg
 	if d.readsSrc1 {
 		e.readsSrc1 = true
 		e.src1Phys = p.regmap.Get(e.inst.Src1)

@@ -28,7 +28,13 @@ const (
 // completes it and pushes the same record into the instruction window
 // (reorder buffer). Each entry also carries the small CTX state machine of
 // Fig. 6 via its tag, which the resolution and commit buses operate on.
+//
+// Entries are pooled. A recycled entry is reset by one store of its
+// entryFlags; every field outside them is written by fetch or rename
+// before anything reads it.
 type entry struct {
+	entryFlags
+
 	seq  uint64
 	pc   int
 	inst isa.Inst
@@ -39,46 +45,35 @@ type entry struct {
 	tag       ctxtag.Tag
 
 	// Predecoded issue metadata (copied from the machine's deco table at
-	// rename so issue never indexes it).
+	// rename so issue and execute never index it).
 	class isa.FUClass
 	lat   uint8
+	kind  uint8 // dispatch kind (dk*)
 
-	state     entryState
-	killed    bool
-	hasDest   bool
-	dstPhys   rename.PhysReg
-	oldPhys   rename.PhysReg
-	src1Phys  rename.PhysReg
-	src2Phys  rename.PhysReg
-	readsSrc1 bool
-	readsSrc2 bool
-	result    int64
+	dstPhys rename.PhysReg
+	oldPhys rename.PhysReg
+	// src1Phys and src2Phys name the machine's sentinel register when the
+	// instruction does not read the operand (see Machine.unreadReg).
+	src1Phys rename.PhysReg
+	src2Phys rename.PhysReg
+	result   int64
 
 	// Memory state.
 	isLoad    bool
 	isStore   bool
-	addrReady bool
 	addr      int
 	storeData int64
-	forwarded bool
 
 	// Branch state.
-	isBranch     bool
-	isIndirect   bool
-	isRet        bool
 	predTarget   int
 	predTargetOK bool
 	actualTarget int
 	predTaken    bool
 	lowConf      bool
-	diverged     bool
 	histPos      int
 	ghrAtPredict uint64
 	ckptID       int
-	hasCkpt      bool
-	resolved     bool
 	outcome      bool
-	onTrace      bool
 	traceIdx     int
 
 	// rasSnap captures the path's return-address stack at fetch (after a
@@ -90,6 +85,26 @@ type entry struct {
 	// register maps are set when the branch renames.
 	childT *path
 	childN *path
+}
+
+// entryFlags are the entry fields whose zero value is their initial
+// state and that the pipeline sets on some instructions only, so a
+// recycled entry must not carry them over. fetchEntry resets them with one
+// store of this struct instead of zeroing the whole entry.
+type entryFlags struct {
+	state      entryState
+	killed     bool
+	hasDest    bool
+	readsSrc1  bool
+	readsSrc2  bool
+	addrReady  bool
+	isBranch   bool
+	isIndirect bool
+	isRet      bool
+	diverged   bool
+	hasCkpt    bool
+	resolved   bool
+	onTrace    bool
 }
 
 // onLivePath reports whether the path that fetched e still occupies its
@@ -139,28 +154,30 @@ type ctxSlot struct {
 }
 
 // deco is the per-PC predecoded metadata table entry: everything the
-// fetch/rename/issue stages would otherwise recompute from the opcode on
-// every dynamic instance of the instruction.
+// fetch/rename/issue/execute stages would otherwise recompute from the
+// opcode on every dynamic instance of the instruction.
 type deco struct {
 	class     isa.FUClass
 	lat       uint8
-	kind      uint8 // fetch-stage dispatch (fk*)
+	kind      uint8 // dispatch kind (dk*)
 	hasDest   bool  // writes a register and Dst != r0
 	readsSrc1 bool
 	readsSrc2 bool
 	isLoad    bool
 	isStore   bool
-	isRet     bool
 }
 
-// Fetch-stage dispatch kinds (deco.kind).
+// Dispatch kinds (deco.kind, entry.kind): fetch switches on them to follow
+// control flow, execute to compute the result. dkOther covers the ALU
+// operations; loads compute in issueLoad, and nop and halt never execute.
 const (
-	fkOther uint8 = iota
-	fkJmp
-	fkHalt
-	fkCond
-	fkCall
-	fkIndirect
+	dkOther uint8 = iota
+	dkJmp
+	dkHalt
+	dkCond
+	dkCall
+	dkIndirect
+	dkStore
 )
 
 // Machine is the simulated processor bound to one program.
@@ -174,8 +191,14 @@ type Machine struct {
 
 	// Rename state. physReady is a packed per-physical-register bitmap:
 	// the wakeup recompute tests it for every pending operand every cycle.
+	// Both cover one register past the file: unreadReg, the sentinel an
+	// operand the instruction does not read names. Its ready bit is set
+	// at build and never cleared, and its value stays 0, so the select
+	// walk and execute read every operand without testing whether the
+	// instruction reads it. The free list never hands it out.
 	physVal   []int64
 	physReady rename.ReadySet
+	unreadReg rename.PhysReg
 	freeList  *rename.FreeList
 	ckpts     *rename.Checkpoints
 	// ckptRAS holds the return-address-stack snapshot for each checkpoint
@@ -300,8 +323,9 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		prog:      prog,
 		mem:       a.takeMemory(prog),
 		retireMap: rename.NewIdentityMap(),
-		physVal:   takeI64(&a.physVal, cfg.PhysRegs),
-		physReady: rename.ReuseReadySet(a.ready, cfg.PhysRegs),
+		physVal:   takeI64(&a.physVal, cfg.PhysRegs+1),
+		physReady: rename.ReuseReadySet(a.ready, cfg.PhysRegs+1),
+		unreadReg: rename.PhysReg(cfg.PhysRegs),
 		freeList:  rename.NewFreeList(cfg.PhysRegs, isa.NumRegs),
 		ckpts:     rename.NewCheckpoints(cfg.Checkpoints),
 		trace:     trace,
@@ -343,10 +367,12 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	m.winBuf = a.takeEntries(2 * cfg.WindowSize)
 	m.window = m.winBuf[:0]
 	m.soaInit(len(m.winBuf), a)
-	// Logical registers start architecturally zero and ready.
+	// Logical registers start architecturally zero and ready, and so does
+	// the sentinel.
 	for i := 0; i < isa.NumRegs; i++ {
 		m.physReady.Set(rename.PhysReg(i))
 	}
+	m.physReady.Set(m.unreadReg)
 
 	// The predictor is resolved through the open registry: the normalized
 	// config's (kind, params) pair picks the registered factory, so a
@@ -392,18 +418,19 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		d.readsSrc2 = op.ReadsSrc2()
 		d.isLoad = op == isa.Load
 		d.isStore = op == isa.Store
-		d.isRet = op == isa.Ret
 		switch {
 		case op == isa.Jmp:
-			d.kind = fkJmp
+			d.kind = dkJmp
 		case op == isa.Halt:
-			d.kind = fkHalt
+			d.kind = dkHalt
 		case op.IsCondBranch():
-			d.kind = fkCond
+			d.kind = dkCond
 		case op == isa.Call:
-			d.kind = fkCall
+			d.kind = dkCall
 		case op == isa.Jri || op == isa.Ret:
-			d.kind = fkIndirect
+			d.kind = dkIndirect
+		case op == isa.Store:
+			d.kind = dkStore
 		}
 	}
 
@@ -432,16 +459,16 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 }
 
 // fetchEntry takes an entry from the pool (or the heap when the pool is
-// dry) for an instruction fetched on p, zeroed except for its RAS snapshot
-// buffer, and fills in the fields every fetched instruction has.
+// dry) for an instruction fetched on p, resets its flags, and fills in the
+// fields every fetched instruction has. The rest of a recycled entry keeps
+// its old values until fetch or rename overwrites them; its RAS snapshot
+// buffer is reused.
 func (m *Machine) fetchEntry(p *path, pc int, in isa.Inst) *entry {
 	var e *entry
 	if n := len(m.entryPool); n > 0 {
 		e = m.entryPool[n-1]
 		m.entryPool = m.entryPool[:n-1]
-		snap := e.rasSnap
-		*e = entry{}
-		e.rasSnap = snap
+		e.entryFlags = entryFlags{}
 	} else {
 		e = new(entry)
 	}

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/isa"
@@ -190,6 +191,28 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(p, cfg); err == nil {
 			t.Errorf("config %d: expected validation error", i)
 		}
+	}
+}
+
+// TestPhysRegsBound pins the register-number bound: a rename.PhysReg is
+// 16 bits and the sentinel register takes number PhysRegs, so 65535 is
+// the largest register file normalize accepts. A machine at that edge
+// runs under the per-cycle audit, which checks the sentinel.
+func TestPhysRegsBound(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PhysRegs = 65536
+	var ce *ConfigError
+	if _, err := cfg.normalize(); !errors.As(err, &ce) || ce.Field != "PhysRegs" {
+		t.Fatalf("PhysRegs 65536: want a *ConfigError on PhysRegs, got %v", err)
+	}
+	cfg.PhysRegs = 65535
+	if _, err := cfg.normalize(); err != nil {
+		t.Fatalf("PhysRegs 65535 refused: %v", err)
+	}
+	cfg.Audit = AuditCycle
+	m := runProg(t, sumProgram(10), cfg)
+	if m.unreadReg != 65535 {
+		t.Fatalf("sentinel is p%d, want p65535", m.unreadReg)
 	}
 }
 

@@ -2,13 +2,16 @@ package pipeline
 
 import (
 	"math/bits"
+
+	"repro/internal/isa"
 	"repro/internal/rename"
 )
 
 // soa.go is the structure-of-arrays scheduler core: dense per-window-slot
-// bitmaps and parallel field arrays that let wakeup and select walk set
-// bits with bits.TrailingZeros64 instead of scanning pointer-heavy window
-// entries (the ready-bitmap + CTZ scheduler pattern, cf. ROADMAP item 3).
+// bitmaps and a parallel array of select inputs that let wakeup and select
+// walk set bits with bits.TrailingZeros64 instead of scanning pointer-heavy
+// window entries (the ready-bitmap + CTZ scheduler pattern, cf. ROADMAP
+// item 3).
 //
 // Slots are winBuf positions: the window occupies winBuf[winOff :
 // winOff+len(window)] in seq (age) order, so an ascending bit walk IS the
@@ -33,19 +36,20 @@ type soaState struct {
 	staW   []uint64 // waiting store whose effective address is not yet computed
 	storeW []uint64 // slot holds a store (any state): the load-disambiguation walk
 
-	// Wakeup-critical per-slot fields, copied from the entry at insert so
-	// the per-cycle readiness recompute touches only these dense arrays.
-	src1  []rename.PhysReg
-	src2  []rename.PhysReg
-	flags []uint8
-	class []uint8
+	// ops holds each slot's wakeup-critical fields, copied from the entry
+	// at insert so the per-cycle readiness recompute touches only this
+	// dense array.
+	ops []soaOp
 }
 
-// soaState.flags bits.
-const (
-	fReadsSrc1 uint8 = 1 << iota
-	fReadsSrc2
-)
+// soaOp is one slot's select input: its two source registers and its
+// functional-unit class. An operand the instruction does not read names
+// the always-ready sentinel register, so readiness is one AND of two
+// ready bits with no test of which operands the instruction reads.
+type soaOp struct {
+	src1, src2 rename.PhysReg
+	class      uint8
+}
 
 // soaInit sizes the scheduler arrays for a winBuf of n slots, drawing
 // backing storage from the arena when possible.
@@ -57,25 +61,15 @@ func (m *Machine) soaInit(n int, a *Arena) {
 	s.readyW = takeWords(s.readyW, words)
 	s.staW = takeWords(s.staW, words)
 	s.storeW = takeWords(s.storeW, words)
-	s.src1 = takePhys(s.src1, n)
-	s.src2 = takePhys(s.src2, n)
-	s.flags = takeBytes(s.flags, n)
-	s.class = takeBytes(s.class, n)
+	s.ops = takeOps(s.ops, n)
 }
 
 // soaOperandsReady reports whether every source operand of the entry at
 // pos is ready, reading only the SoA arrays and the physical-register
 // readiness bitmap.
 func (m *Machine) soaOperandsReady(pos int) bool {
-	s := &m.soa
-	fl := s.flags[pos]
-	if fl&fReadsSrc1 != 0 && !m.physReady.Test(s.src1[pos]) {
-		return false
-	}
-	if fl&fReadsSrc2 != 0 && !m.physReady.Test(s.src2[pos]) {
-		return false
-	}
-	return true
+	op := &m.soa.ops[pos]
+	return m.physReady.Bit(op.src1)&m.physReady.Bit(op.src2) != 0
 }
 
 // soaSet derives the scheduler state of entry e at slot pos: the SoA
@@ -84,17 +78,7 @@ func (m *Machine) soaOperandsReady(pos int) bool {
 // the select walk tests it live against physReady.
 func (m *Machine) soaSet(pos int, e *entry) {
 	s := &m.soa
-	s.src1[pos] = e.src1Phys
-	s.src2[pos] = e.src2Phys
-	var fl uint8
-	if e.readsSrc1 {
-		fl |= fReadsSrc1
-	}
-	if e.readsSrc2 {
-		fl |= fReadsSrc2
-	}
-	s.flags[pos] = fl
-	s.class[pos] = uint8(e.class)
+	s.ops[pos] = soaOp{src1: e.src1Phys, src2: e.src2Phys, class: uint8(e.class)}
 
 	w, bit := pos>>6, uint64(1)<<uint(pos&63)
 	if e.isStore {
@@ -255,7 +239,9 @@ func (m *Machine) soaVerifySelectOrder() {
 
 // auditScheduler verifies the SoA scheduler against the window: every
 // bit must agree with its entry's state, the SoA field copies must not
-// have drifted, and no bit may be set outside the live slot range. It
+// have drifted, an operand an entry does not read must name the sentinel,
+// the sentinel must read ready, and no bit may be set outside the live
+// slot range. It
 // runs last in the audit sweep so the pre-existing invariant checks keep
 // reporting first on the faults they were designed to catch.
 func (m *Machine) auditScheduler() {
@@ -276,11 +262,18 @@ func (m *Machine) auditScheduler() {
 		if (s.staW[w]&bit != 0) != wantSta {
 			m.machineCheckf("store-filter", e.pc, "entry seq %d sta bit=%v, want %v", e.seq, s.staW[w]&bit != 0, wantSta)
 		}
-		if e.readsSrc1 && s.src1[pos] != e.src1Phys {
-			m.machineCheckf("wakeup", e.pc, "entry seq %d src1 drifted: soa p%d, entry p%d", e.seq, s.src1[pos], e.src1Phys)
+		op := s.ops[pos]
+		if op.src1 != e.src1Phys {
+			m.machineCheckf("wakeup", e.pc, "entry seq %d src1 drifted: soa p%d, entry p%d", e.seq, op.src1, e.src1Phys)
 		}
-		if e.readsSrc2 && s.src2[pos] != e.src2Phys {
-			m.machineCheckf("wakeup", e.pc, "entry seq %d src2 drifted: soa p%d, entry p%d", e.seq, s.src2[pos], e.src2Phys)
+		if op.src2 != e.src2Phys {
+			m.machineCheckf("wakeup", e.pc, "entry seq %d src2 drifted: soa p%d, entry p%d", e.seq, op.src2, e.src2Phys)
+		}
+		if (!e.readsSrc1 && e.src1Phys != m.unreadReg) || (!e.readsSrc2 && e.src2Phys != m.unreadReg) {
+			m.machineCheckf("wakeup", e.pc, "entry seq %d names p%d/p%d for an operand it does not read, not the sentinel p%d", e.seq, e.src1Phys, e.src2Phys, m.unreadReg)
+		}
+		if isa.FUClass(op.class) != e.class {
+			m.machineCheckf("wakeup", e.pc, "entry seq %d class drifted: soa %s, entry %s", e.seq, isa.FUClass(op.class), e.class)
 		}
 		if s.waitW[w]&bit != 0 {
 			nWait++
@@ -291,6 +284,9 @@ func (m *Machine) auditScheduler() {
 		if s.storeW[w]&bit != 0 {
 			nStore++
 		}
+	}
+	if !m.physReady.Test(m.unreadReg) {
+		m.machineCheckf("wakeup", -1, "sentinel register p%d reads not ready", m.unreadReg)
 	}
 	count := func(words []uint64) int {
 		n := 0

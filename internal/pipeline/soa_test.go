@@ -291,20 +291,21 @@ func TestRecycleGutsMachine(t *testing.T) {
 }
 
 // TestReadySetBasics covers the packed readiness bitmap at its word
-// boundaries, including capacity-reusing reinitialization.
+// boundaries, Test and Bit alike, including capacity-reusing
+// reinitialization.
 func TestReadySetBasics(t *testing.T) {
 	s := rename.NewReadySet(130)
 	for _, p := range []rename.PhysReg{0, 63, 64, 127, 128, 129} {
-		if s.Test(p) {
+		if s.Test(p) || s.Bit(p) != 0 {
 			t.Fatalf("fresh set has p%d ready", p)
 		}
 		s.Set(p)
-		if !s.Test(p) {
+		if !s.Test(p) || s.Bit(p) != 1 {
 			t.Fatalf("p%d not ready after Set", p)
 		}
 	}
 	s.Clear(64)
-	if s.Test(64) {
+	if s.Test(64) || s.Bit(64) != 0 {
 		t.Fatal("p64 ready after Clear")
 	}
 	if s.Test(63) != true || s.Test(128) != true {

@@ -39,6 +39,13 @@ func (s *ReadySet) Test(p PhysReg) bool {
 	return s.words[p>>6]&(1<<uint(p&63)) != 0
 }
 
+// Bit returns 1 when physical register p is ready and 0 otherwise, so a
+// caller can combine several readiness tests with & instead of branching
+// on each.
+func (s *ReadySet) Bit(p PhysReg) uint64 {
+	return s.words[p>>6] >> (p & 63) & 1
+}
+
 // Set marks physical register p ready (the writeback publish).
 func (s *ReadySet) Set(p PhysReg) {
 	s.words[p>>6] |= 1 << uint(p&63)

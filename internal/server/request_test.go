@@ -67,11 +67,12 @@ func TestCellAuditCheckedOnWarmMemo(t *testing.T) {
 // worker's CellRequest (POST /v1/cells). Each value decodeBody accepts
 // then meets the checks its handler runs before any simulation. An input
 // must either be refused with an error, or its value must re-encode
-// (json.Marshal, then decodeBody) to a fixed point that passes the same
-// checks. Nothing may panic. A re-encoding longer than maxRequestBody is
-// refused by the body cap, as every longer body is: json.Marshal writes
-// <, > and & as six-byte escapes, so longTitleBody's 200,000 "<"
-// re-encode to 1.2 MB.
+// (EncodeRequest, then decodeBody) to a fixed point that passes the same
+// checks. Nothing may panic. The re-encoding uses EncodeRequest, as the
+// Go client does, so longTitleBody's 200,000 "<" stay one byte each. A
+// re-encoding can still outgrow the body cap, because it spells out the
+// fields a workload branch spec omits; one longer than maxRequestBody is
+// refused, as every longer body is.
 func FuzzRequestDecoders(f *testing.F) {
 	for _, body := range []string{
 		`{"experiment":"fig8"}`,
@@ -132,7 +133,7 @@ func checkRoundTrip[T any](t *testing.T, body []byte, check func(T) error) {
 	if !decodeForTest(body, &v) || check(v) != nil {
 		return
 	}
-	enc, err := json.Marshal(v)
+	enc, err := EncodeRequest(v)
 	if err != nil {
 		t.Fatalf("accepted %T does not encode: %v", v, err)
 	}
@@ -146,7 +147,7 @@ func checkRoundTrip[T any](t *testing.T, body []byte, check func(T) error) {
 	if err := check(again); err != nil {
 		t.Fatalf("accepted %T re-encodes to one its checks refuse: %v\n%s", v, err, enc)
 	}
-	if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
+	if enc2, _ := EncodeRequest(again); !bytes.Equal(enc, enc2) {
 		t.Fatalf("%T re-encoding is not a fixed point:\n%s\n%s", v, enc, enc2)
 	}
 }

@@ -642,17 +642,35 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error()})
 }
 
-// maxRequestBody caps a request body: decodeBody reads no further.
+// maxRequestBody caps a request body: decodeBody refuses a longer one.
 const maxRequestBody = 1 << 20
 
+// EncodeRequest encodes v as a request body: JSON without HTML escaping.
+// json.Marshal writes each <, > and & as a six-byte escape, so a request
+// the server accepts could grow past maxRequestBody on its way back.
+func EncodeRequest(v any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
+}
+
 // decodeBody strictly decodes a bounded JSON request body into v,
-// writing the 400 itself on failure (returns false). Only whitespace may
+// writing the error itself on failure (returns false): 413 for a body
+// longer than maxRequestBody, 400 for anything else. Only whitespace may
 // follow the value: dec.More would let a stray "}" or "]" through, so the
 // next token must be io.EOF.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return false
+	}
+	if len(body) > maxRequestBody {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte cap", maxRequestBody))
 		return false
 	}
 	dec := json.NewDecoder(bytes.NewReader(body))

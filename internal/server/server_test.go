@@ -175,6 +175,29 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRequestBodyCap: a body of exactly maxRequestBody bytes decodes, and
+// one byte more is refused whole with 413 and a message naming the cap,
+// instead of decoding a truncated prefix into a 400.
+func TestRequestBodyCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const req = `{"configs":[{"name":"mono","model":"monopath"}],"benchmarks":["compress"],"insts":1000}`
+	atCap := req + strings.Repeat(" ", maxRequestBody-len(req))
+	if j := submitAndWait(t, ts, atCap); j.State != JobDone {
+		t.Fatalf("job with a %d-byte body ended %s (%s), want done", len(atCap), j.State, j.Error)
+	}
+	resp, data := post(t, ts, atCap+" ")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte body: status %d, want 413: %s", len(atCap)+1, resp.StatusCode, data)
+	}
+	var eb errorBody
+	if err := json.Unmarshal(data, &eb); err != nil {
+		t.Fatalf("error body not JSON: %s", data)
+	}
+	if want := fmt.Sprintf("exceeds the %d-byte cap", maxRequestBody); !strings.Contains(eb.Error, want) {
+		t.Fatalf("error %q does not name the cap (%q)", eb.Error, want)
+	}
+}
+
 // TestBackpressure saturates a 1-worker/1-slot server with a controllable
 // scheduler and checks the 429 + Retry-After contract and the rejection
 // counter.
