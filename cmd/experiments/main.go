@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -31,7 +32,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig8..fig12, paths, ablations (or a specific abl-*), ext-cache, ext-cedesign, all")
+	exp := flag.String("exp", "all", "comma-separated experiments (table1, fig8, fig8-char, fig9..fig12, paths, abl-*, ext-*, fig-adaptive), ablations (every abl-*) or all; an unknown name lists them all")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
 	insts := flag.Uint64("insts", 0, "dynamic instructions per benchmark (0 = default 400k)")
 	bench := flag.String("bench", "", "comma-separated benchmark subset (default: all eight)")
@@ -66,10 +67,7 @@ func main() {
 	if *traceFile != "" {
 		opts.TraceLimit = *traceLimit
 		opts.OnTrace = func(ev harness.CellEvent, events []pipeline.TraceEvent, dropped uint64) {
-			label := fmt.Sprintf("%s/%s", ev.Benchmark, ev.Config)
-			if ev.Replicate > 0 {
-				label = fmt.Sprintf("%s/r%d", label, ev.Replicate)
-			}
+			label := harness.CellID(ev.Benchmark, ev.Config, ev.Replicate)
 			traceMu.Lock()
 			traceCells = append(traceCells, obs.CellTrace{Label: label, Events: events, Dropped: dropped})
 			traceMu.Unlock()
@@ -78,32 +76,12 @@ func main() {
 
 	// The registry in internal/harness is shared with polyserve, so the
 	// same experiment name produces byte-identical tables in both.
-	experiments := harness.Experiments()
-
-	selected := map[string]bool{}
-	switch *exp {
-	case "all":
-		for _, e := range experiments {
-			selected[e.Name] = true
-		}
-	case "ablations":
-		for _, e := range experiments {
-			if strings.HasPrefix(e.Name, "abl-") {
-				selected[e.Name] = true
-			}
-		}
-	default:
-		for _, name := range strings.Split(*exp, ",") {
-			selected[name] = true
-		}
+	selected, err := selectExperiments(*exp, harness.Experiments())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
-
-	ran := 0
-	for _, e := range experiments {
-		if !selected[e.Name] {
-			continue
-		}
-		ran++
+	for _, e := range selected {
 		start := time.Now()
 		r, err := e.Run(opts)
 		if err != nil {
@@ -121,10 +99,6 @@ func main() {
 		}
 		fmt.Printf("=== %s (%.1fs) ===\n%s\n", e.Name, time.Since(start).Seconds(), r.Render())
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
 	if *traceFile != "" {
 		sort.Slice(traceCells, func(i, k int) bool { return traceCells[i].Label < traceCells[k].Label })
 		f, err := os.Create(*traceFile)
@@ -140,4 +114,39 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "experiments: wrote trace of %d cell(s) to %s\n", len(traceCells), *traceFile)
 	}
+}
+
+// selectExperiments resolves -exp's comma-separated list against the
+// registry and returns the named experiments in registry order. "all"
+// names every experiment and "ablations" every abl-* one. Any name that
+// resolves to nothing is an error, which lists the valid names.
+func selectExperiments(list string, exps []harness.Experiment) ([]harness.Experiment, error) {
+	want := map[string]bool{}
+	var unknown []string
+	for _, name := range strings.Split(list, ",") {
+		found := false
+		for _, e := range exps {
+			if name == "all" || name == e.Name || name == "ablations" && strings.HasPrefix(e.Name, "abl-") {
+				want[e.Name] = true
+				found = true
+			}
+		}
+		if !found {
+			unknown = append(unknown, strconv.Quote(name))
+		}
+	}
+	if len(unknown) > 0 {
+		names := []string{"all", "ablations"}
+		for _, e := range exps {
+			names = append(names, e.Name)
+		}
+		return nil, fmt.Errorf("unknown experiment %s (valid: %s)", strings.Join(unknown, ", "), strings.Join(names, ", "))
+	}
+	var sel []harness.Experiment
+	for _, e := range exps {
+		if want[e.Name] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
 }

@@ -9,12 +9,12 @@
 //	polychar -workload go                   # profile a registered workload
 //	polychar -trace app.pbt.gz -synth       # + synthesize a calibrated stand-in
 //	polychar -workload gcc -sites 10        # + hottest conditional sites
-//	polychar -all -j 8                      # Figure 8 placement table, all families
-//	polychar -all -json                     # machine-readable placement table
+//	polychar -workload go -json             # machine-readable report
 //
 // polysim closes the loop: `polysim -bench X -emit-trace f.pbt.gz`
 // exports a trace that polychar can profile, and `polysim -import-trace`
-// simulates the synthesized stand-in.
+// simulates the synthesized stand-in. The placement table over every
+// workload family is `experiments -exp fig8-char`.
 package main
 
 import (
@@ -25,33 +25,19 @@ import (
 	"os"
 
 	"repro/internal/btrace"
-	"repro/internal/harness"
 	"repro/internal/workload"
 )
 
 func main() {
 	tracePath := flag.String("trace", "", "characterize a PBT1 branch-trace file (gzip detected transparently)")
 	workloadName := flag.String("workload", "", "characterize a registered workload by name (unknown names list what is registered)")
-	all := flag.Bool("all", false, "characterize every workload family and print the Figure 8 placement table")
 	insts := flag.Uint64("insts", 0, "dynamic instructions for workload characterization and synthesis targets (0 = default 400k)")
 	sites := flag.Int("sites", 0, "also print the N most-executed conditional sites with their bias")
 	synth := flag.Bool("synth", false, "synthesize a calibrated stand-in workload from the profile and report the achieved misprediction rate")
-	jobs := flag.Int("j", 0, "worker shards for -all (0 = GOMAXPROCS); the table is byte-identical under any value")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of the text report")
 	flag.Parse()
 
 	switch {
-	case *all:
-		if *tracePath != "" || *workloadName != "" {
-			fail(fmt.Errorf("-all is incompatible with -trace and -workload"))
-		}
-		res, err := harness.CharTable(harness.Options{TargetInsts: *insts, Parallelism: *jobs})
-		fail(err)
-		if *asJSON {
-			emitJSON(res)
-			return
-		}
-		fmt.Print(res.Render())
 	case *tracePath != "" && *workloadName != "":
 		fail(fmt.Errorf("-trace and -workload are mutually exclusive"))
 	case *tracePath != "":
@@ -73,7 +59,7 @@ func main() {
 		fail(err)
 		report(ch, *insts, *sites, *synth, *asJSON)
 	default:
-		fail(fmt.Errorf("nothing to characterize: pass -trace <file>, -workload <name>, or -all"))
+		fail(fmt.Errorf("nothing to characterize: pass -trace <file> or -workload <name>"))
 	}
 }
 

@@ -17,8 +17,8 @@ const fidelityInsts = 300_000
 // every workload family is exported to a PBT1 stream, read back,
 // characterized, and re-synthesized, and the stand-in's gshare
 // misprediction rate at RefHistBits must match the original trace's
-// within ±10% relative. The same gate runs against committed goldens in
-// scripts/char_smoke.sh.
+// within ±10% relative. It is the only fidelity gate:
+// scripts/char_smoke.sh runs one round trip through the CLIs, ungated.
 func TestRoundTripFidelity(t *testing.T) {
 	names := append(workload.Names(), "ptrchase", "interp-dispatch", "branchless")
 	for _, name := range names {

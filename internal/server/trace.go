@@ -38,10 +38,7 @@ func newJobTrace() *jobTrace { return &jobTrace{budget: jobTraceBudget} }
 // add stores one simulated cell's captured events (an Options.OnTrace
 // callback; may run concurrently on harness workers).
 func (t *jobTrace) add(ev harness.CellEvent, events []pipeline.TraceEvent, dropped uint64) {
-	label := fmt.Sprintf("%s/%s", ev.Benchmark, ev.Config)
-	if ev.Replicate > 0 {
-		label = fmt.Sprintf("%s/r%d", label, ev.Replicate)
-	}
+	label := harness.CellID(ev.Benchmark, ev.Config, ev.Replicate)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(events) > t.budget {

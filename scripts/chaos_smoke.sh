@@ -1,22 +1,17 @@
 #!/usr/bin/env bash
 # chaos_smoke.sh — end-to-end robustness smoke test.
 #
-# Four independent checks:
-#   1. Micro-architectural chaos: every deterministic fault the injector
-#      can plant (rename bit flips, dropped wakeups, free-list corruption,
-#      CTX-tag flips) surfaces as a typed *pipeline.MachineCheckError under
-#      the invariant auditor — never a raw crash (pipeline's fault tests and
-#      the seeded chaos tests in internal/faultinject).
-#   2. Determinism: experiment output with the auditor off is byte-identical
-#      to the committed golden table, and turning the auditor on changes
-#      nothing (auditing is observation-only).
-#   3. Crash containment: a polyserve worker panicking repeatedly fails only
+# Two checks against a running polyserve:
+#   1. Crash containment: a polyserve worker panicking repeatedly fails only
 #      its own jobs; the service stays healthy, and the offending request is
 #      quarantined (HTTP 403 + /v1/quarantine) after 3 crashes, polyserve's
 #      fixed threshold.
-#   4. Journal recovery: a restart over a journal with a torn (half-written)
+#   2. Journal recovery: a restart over a journal with a torn (half-written)
 #      record resumes every intact record and counts the damage in
 #      journal_dropped, instead of failing startup or losing jobs.
+#
+# Injected machine faults and the audit-level golden are go test's
+# (pipeline and faultinject fault tests, TestCommittedTables).
 set -euo pipefail
 
 PORT="${PORT:-18090}"
@@ -28,24 +23,6 @@ cd "$(dirname "$0")/.."
 
 echo "== building =="
 go build -o "$WORKDIR/polyserve" ./cmd/polyserve
-go build -o "$WORKDIR/experiments" ./cmd/experiments
-
-echo "== 1. injected micro-architectural faults become machine checks =="
-go test -count=1 -run 'TestInjectedFaultsYieldMachineChecks|TestForeignPanicContained' ./internal/pipeline
-go test -count=1 ./internal/faultinject
-
-echo "== 2. audit-off output is bit-identical to the committed golden =="
-"$WORKDIR/experiments" -exp table1 -bench compress -insts 50000 -audit off | sed '1d;$d' > "$WORKDIR/off.txt"
-if ! diff -u scripts/golden/table1_compress_50k.txt "$WORKDIR/off.txt"; then
-    echo "FAIL: audit-off output drifted from the committed golden" >&2
-    exit 1
-fi
-"$WORKDIR/experiments" -exp table1 -bench compress -insts 50000 -audit commit | sed '1d;$d' > "$WORKDIR/commit.txt"
-if ! diff -u "$WORKDIR/off.txt" "$WORKDIR/commit.txt"; then
-    echo "FAIL: enabling the auditor changed simulation output" >&2
-    exit 1
-fi
-echo "golden match (audit off == audit commit == committed golden)"
 
 wait_healthy() {
     for i in $(seq 1 50); do
@@ -62,7 +39,7 @@ stat_field() { # stat_field <name>
 
 JOURNAL="$WORKDIR/polyserve.journal"
 
-echo "== 3. worker panics are contained and the request is quarantined =="
+echo "== 1. worker panics are contained and the request is quarantined =="
 "$WORKDIR/polyserve" -addr "127.0.0.1:$PORT" -journal "$JOURNAL" \
     -chaos-panic boom &
 SERVER_PID=$!
@@ -115,7 +92,7 @@ wait "$SERVER_PID"
 unset SERVER_PID
 echo "clean SIGTERM drain"
 
-echo "== 4. torn journal: restart resumes intact records, drops the tail =="
+echo "== 2. torn journal: restart resumes intact records, drops the tail =="
 # Two intact checksummed records plus a third cut off mid-write.
 python3 - "$JOURNAL" <<'EOF'
 import json, sys, zlib

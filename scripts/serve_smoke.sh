@@ -5,12 +5,10 @@
 # only, 50k instructions) through the HTTP API, polls it to completion, and
 # checks that:
 #   1. the service's rendered table is byte-identical to cmd/experiments
-#      output for the same experiment and options, and
+#      output for the same experiment and options,
 #   2. resubmitting the same job is served from the memoization cache
-#      (observed via the /v1/stats hit counter),
-#   3. cmd/experiments output is byte-identical under -j 8 and -j 1
-#      (the deterministic scheduler contract), and
-#   4. a configs job streams its cells through /v1/jobs/{id}/cells and
+#      (observed via the /v1/stats hit counter), and
+#   3. a configs job streams its cells through /v1/jobs/{id}/cells and
 #      shows up in the /metrics shard families,
 # then shuts the server down with SIGTERM and expects a clean drain.
 set -euo pipefail
@@ -80,15 +78,6 @@ if [ -z "$HITS" ] || [ "$HITS" -lt 1 ]; then
     exit 1
 fi
 echo "cache hits: $HITS"
-
-echo "== -j 8 must be byte-identical to -j 1 =="
-"$WORKDIR/experiments" -exp table1 -bench compress -insts 50000 -j 1 | sed '1d' > "$WORKDIR/cli-j1.txt"
-"$WORKDIR/experiments" -exp table1 -bench compress -insts 50000 -j 8 | sed '1d' > "$WORKDIR/cli-j8.txt"
-if ! diff -u "$WORKDIR/cli-j1.txt" "$WORKDIR/cli-j8.txt"; then
-    echo "FAIL: -j 8 output differs from -j 1" >&2
-    exit 1
-fi
-echo "sharded output byte-identical"
 
 echo "== configs job cell stream =="
 # Four cells: two by model name and two as inline polypath/v2 config
