@@ -86,10 +86,10 @@ experiments-check:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# trace-smoke exercises the observability subsystem end to end: polysim
-# -trace for both see and dualpath, Chrome/Perfetto JSON validation
-# (well-formed, monotonic per-process timestamps), the Konata export,
-# and a byte-level diff proving tracing never perturbs the statistics.
+# trace-smoke runs polysim -trace as a process: Chrome/Perfetto exports
+# for see and dualpath, a Konata export (both formats chosen by file
+# extension), and a byte-level diff proving tracing never perturbs the
+# statistics. TestTraceExportGolden checks the exports' structure.
 # Set TRACE_OUT=<dir> to keep the exported traces (CI uploads them).
 trace-smoke:
 	./scripts/trace_smoke.sh

@@ -66,10 +66,9 @@ func main() {
 	var traceCells []obs.CellTrace
 	if *traceFile != "" {
 		opts.TraceLimit = *traceLimit
-		opts.OnTrace = func(ev harness.CellEvent, events []pipeline.TraceEvent, dropped uint64) {
-			label := harness.CellID(ev.Benchmark, ev.Config, ev.Replicate)
+		opts.OnTrace = func(cell obs.CellTrace) {
 			traceMu.Lock()
-			traceCells = append(traceCells, obs.CellTrace{Label: label, Events: events, Dropped: dropped})
+			traceCells = append(traceCells, cell)
 			traceMu.Unlock()
 		}
 	}

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -48,6 +47,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/obs"
+	"repro/internal/obs/debughttp"
 	"repro/internal/pipeline"
 	"repro/internal/server"
 )
@@ -157,15 +157,8 @@ func main() {
 		// Live introspection: pprof profiles of the running service plus a
 		// second /metrics mount, on an address that can stay private even
 		// when the API address is exposed.
-		dbg := http.NewServeMux()
-		dbg.HandleFunc("/debug/pprof/", pprof.Index)
-		dbg.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		dbg.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		dbg.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		dbg.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		dbg.Handle("/metrics", srv.MetricsHandler())
 		go func() {
-			if err := http.ListenAndServe(*debugAddr, dbg); err != nil {
+			if err := http.ListenAndServe(*debugAddr, debughttp.Handler(srv.MetricsHandler())); err != nil {
 				logger.Printf("polyserve: debug server: %v", err)
 			}
 		}()

@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -52,6 +51,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/obs/debughttp"
 	"repro/internal/obs/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
@@ -339,18 +339,8 @@ func serveDebug(addr string, sim *stats.Sim) {
 	reg := metrics.NewRegistry()
 	reg.GaugeFunc("polysim_build_info", `version="`+strings.ReplaceAll(obs.Version(), `"`, "'")+`"`, "Build identity (constant 1).", func() float64 { return 1 })
 	stats.RegisterSim(reg, "polysim", sim)
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = reg.WritePrometheus(w)
-	})
 	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
+		if err := http.ListenAndServe(addr, debughttp.Handler(debughttp.Metrics(reg))); err != nil {
 			fmt.Fprintln(os.Stderr, "polysim: debug server:", err)
 		}
 	}()

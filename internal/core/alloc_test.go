@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -14,6 +15,17 @@ import (
 // return-address stacks, latches and scratch buffers are all recycled, so
 // divergence, kill and recovery cost no heap objects.
 func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
+	checkSteadyStateAllocs(t, nil)
+}
+
+// TestSteadyStateTracedCycleAllocatesNothing is the same gate with a
+// preallocated obs.Ring attached: an event carries plain values, so
+// emitting one allocates nothing either.
+func TestSteadyStateTracedCycleAllocatesNothing(t *testing.T) {
+	checkSteadyStateAllocs(t, obs.NewRing(1<<12))
+}
+
+func checkSteadyStateAllocs(t *testing.T, tr pipeline.Tracer) {
 	const (
 		insts    = 300_000 // the oracle machine needs over 25,000 cycles
 		warmup   = 20_000
@@ -36,6 +48,9 @@ func TestSteadyStateCycleAllocatesNothing(t *testing.T) {
 		m, err := pipeline.New(prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", model, err)
+		}
+		if tr != nil {
+			m.SetTracer(tr)
 		}
 		for i := 0; i < warmup; i++ {
 			m.Step()

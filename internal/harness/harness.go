@@ -153,11 +153,10 @@ type Options struct {
 	// bit-identical with it on or off, and memoized (cache-replayed)
 	// cells produce no events.
 	TraceLimit int
-	// OnTrace receives the captured event stream of every simulated
-	// (non-memoized) cell: its CellEvent, the retained events in arrival
-	// order, and how many events the capture bound dropped. It may be
-	// called concurrently from worker goroutines.
-	OnTrace func(ev CellEvent, events []pipeline.TraceEvent, dropped uint64)
+	// OnTrace receives the captured trace of every simulated
+	// (non-memoized) cell, labelled with its CellID. It may be called
+	// concurrently from worker goroutines.
+	OnTrace func(obs.CellTrace)
 	// Observer, when non-nil, receives scheduler lifecycle events
 	// (task started/done per shard) for every simulation cell. polyserve
 	// wires this to its per-shard cell metrics for every job.
@@ -474,7 +473,11 @@ func runMatrix(opts Options, configs []NamedConfig) (*Matrix, error) {
 					Shard:     tc.Shard,
 				}
 				if ring != nil {
-					opts.OnTrace(cellEv, ring.Snapshot(), ring.Dropped())
+					opts.OnTrace(obs.CellTrace{
+						Label:   CellID(j.bench, j.nc.Name, j.rep),
+						Events:  ring.Snapshot(),
+						Dropped: ring.Dropped(),
+					})
 				}
 				if opts.OnCell != nil {
 					opts.OnCell(cellEv)

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/pipeline"
+	"repro/internal/obs"
 )
 
 // TestTracingObservationOnly is the tentpole invariant of the obs
@@ -22,16 +22,12 @@ func TestTracingObservationOnly(t *testing.T) {
 	}
 
 	var mu sync.Mutex
-	type capture struct {
-		events  []pipeline.TraceEvent
-		dropped uint64
-	}
-	got := map[string]capture{}
+	got := map[string]obs.CellTrace{}
 	traced := opts
 	traced.TraceLimit = 4096
-	traced.OnTrace = func(ev CellEvent, events []pipeline.TraceEvent, dropped uint64) {
+	traced.OnTrace = func(cell obs.CellTrace) {
 		mu.Lock()
-		got[ev.Benchmark+"/"+ev.Config] = capture{events, dropped}
+		got[cell.Label] = cell
 		mu.Unlock()
 	}
 	withTrace, err := RunConfigs(traced, configs)
@@ -45,18 +41,18 @@ func TestTracingObservationOnly(t *testing.T) {
 		t.Fatalf("tracing changed the rendered table:\n--- off ---\n%s\n--- on ---\n%s", a, b)
 	}
 
-	cap, ok := got["go/monopath"]
+	cell, ok := got["go/monopath"]
 	if !ok {
 		t.Fatalf("OnTrace never fired for go/monopath (got %v)", got)
 	}
-	if len(cap.events) == 0 {
+	if len(cell.Events) == 0 {
 		t.Fatal("captured zero events from a simulated cell")
 	}
-	if cap.dropped == 0 {
+	if cell.Dropped == 0 {
 		t.Errorf("a 30k-instruction run should overflow a 4096-event ring; dropped = 0")
 	}
 	var lastCycle uint64
-	for i, e := range cap.events {
+	for i, e := range cell.Events {
 		if e.Cycle < lastCycle {
 			t.Fatalf("event %d: cycle %d after %d — snapshot out of order", i, e.Cycle, lastCycle)
 		}
@@ -81,7 +77,7 @@ func TestTracingSkipsMemoizedCells(t *testing.T) {
 	fired := 0
 	traced := opts
 	traced.TraceLimit = 1024
-	traced.OnTrace = func(ev CellEvent, events []pipeline.TraceEvent, dropped uint64) {
+	traced.OnTrace = func(obs.CellTrace) {
 		mu.Lock()
 		fired++
 		mu.Unlock()

@@ -70,14 +70,10 @@ func WriteChromeTrace(w io.Writer, cells []CellTrace) error {
 		paths := map[int]bool{}
 		events := make([]chromeEvent, 0, len(cell.Events))
 		for _, e := range cell.Events {
-			tid := e.Path
-			if tid < 0 {
-				tid = 0
-			}
-			paths[tid] = true
-			args := map[string]any{"seq": e.Seq, "pc": e.PC, "ctx": e.Tag}
-			if e.Note != "" {
-				args["note"] = e.Note
+			paths[e.Path] = true
+			args := map[string]any{"seq": e.Seq, "pc": e.PC, "ctx": e.Tag.String()}
+			if note := e.Note(); note != "" {
+				args["note"] = note
 			}
 			events = append(events, chromeEvent{
 				Name: e.Kind.String(),
@@ -86,7 +82,7 @@ func WriteChromeTrace(w io.Writer, cells []CellTrace) error {
 				Ts:   e.Cycle,
 				Dur:  1,
 				Pid:  pid,
-				Tid:  tid,
+				Tid:  e.Path,
 				Args: args,
 			})
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/pipeline"
@@ -23,16 +24,10 @@ const (
 // instruction moves through fetch, rename, execute and writeback, and a
 // retire record marking commit (type 0) or squash (type 1).
 //
-// Only per-instruction events (Seq != 0) appear; path-level control
-// events carry no timeline row. Instructions whose fetch event was lost
-// to the capture bound are started lazily at their first retained event.
+// Instructions whose fetch event was lost to the capture bound are
+// started lazily at their first retained event.
 func WriteKonata(w io.Writer, events []pipeline.TraceEvent) error {
-	evs := make([]pipeline.TraceEvent, 0, len(events))
-	for _, e := range events {
-		if e.Seq != 0 {
-			evs = append(evs, e)
-		}
-	}
+	evs := slices.Clone(events)
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Cycle < evs[j].Cycle })
 
 	bw := bufio.NewWriter(w)
@@ -64,11 +59,11 @@ func WriteKonata(w io.Writer, events []pipeline.TraceEvent) error {
 			nextID++
 			ids[e.Seq] = id
 			fmt.Fprintf(bw, "I\t%d\t%d\t%d\n", id, e.Seq, e.Path)
-			label := e.Note
+			label := e.Note()
 			if label == "" {
 				label = fmt.Sprintf("pc=%d", e.PC)
 			}
-			fmt.Fprintf(bw, "L\t%d\t0\t%d: %s [%s]\n", id, e.PC, label, e.Tag)
+			fmt.Fprintf(bw, "L\t%d\t0\t%d: %s [%s]\n", id, e.PC, label, e.Tag.String())
 		}
 		return id
 	}

@@ -8,10 +8,12 @@
 // changes simulation results (TestTracingObservationOnly,
 // TestTracedJobMatchesUntracedResult and make trace-smoke enforce this),
 // and with tracing disabled the simulator's hot path pays only a nil
-// check per event site. What tracing costs is BenchmarkTracerOn against
-// BenchmarkCycleLoop at the repository root.
+// check per event site. Events carry plain values; the exporters write
+// their text (TraceEvent.Note), and TestTraceExportGolden pins it. What
+// tracing costs is BenchmarkTracerOn against BenchmarkCycleLoop.
 // The sibling package obs/metrics is the operational-metrics registry
-// behind polyserve's GET /metrics endpoint.
+// behind polyserve's GET /metrics endpoint; obs/debughttp serves both
+// commands' -debug-addr.
 package obs
 
 import (

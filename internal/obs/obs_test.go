@@ -4,15 +4,17 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/pipeline"
 )
 
 func ev(cycle, seq uint64, kind pipeline.TraceKind, path int) pipeline.TraceEvent {
-	return pipeline.TraceEvent{Cycle: cycle, Kind: kind, Seq: seq, PC: int(seq), Path: path, Tag: "X"}
+	return pipeline.TraceEvent{Cycle: cycle, Kind: kind, Seq: seq, PC: int(seq), Path: path}
 }
 
 func TestRingRoundsCapacityUp(t *testing.T) {
@@ -128,7 +130,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		{Label: "compress/see", Events: []pipeline.TraceEvent{
 			ev(3, 2, pipeline.TraceRename, 1),
 			ev(1, 1, pipeline.TraceFetch, 0),
-			{Cycle: 2, Kind: pipeline.TraceDiverge, Path: -1, Tag: "T", Note: "split"},
+			{Cycle: 2, Kind: pipeline.TraceDiverge, Seq: 3, PC: 3, Path: 1, Arg: 4},
 		}},
 		{Label: "gcc/monopath", Events: []pipeline.TraceEvent{ev(5, 9, pipeline.TraceCommit, 0)}, Dropped: 7},
 	}
@@ -178,8 +180,7 @@ func TestWriteChromeTrace(t *testing.T) {
 	if xPerPid[0] != 3 || xPerPid[1] != 1 {
 		t.Fatalf("event counts per cell = %v", xPerPid)
 	}
-	// A path of -1 (unknown) must land on a valid tid, not break the JSON.
-	if !strings.Contains(buf.String(), `"note":"split"`) {
+	if !strings.Contains(buf.String(), `"note":"divergence at history position 4"`) {
 		t.Fatal("diverge note lost")
 	}
 }
@@ -201,15 +202,16 @@ func TestWriteChromeTraceDeterministic(t *testing.T) {
 }
 
 func TestWriteKonata(t *testing.T) {
+	li := isa.Inst{Op: isa.Li, Dst: 1, Imm: 5}
+	beq := isa.Inst{Op: isa.Beq, Src1: 1, Target: 7}
 	events := []pipeline.TraceEvent{
-		{Cycle: 1, Kind: pipeline.TraceFetch, Seq: 1, PC: 0, Path: 0, Tag: "X", Note: "li r1, 5"},
-		{Cycle: 1, Kind: pipeline.TraceFetch, Seq: 2, PC: 1, Path: 0, Tag: "X", Note: "beq r1, r0"},
-		{Cycle: 2, Kind: pipeline.TraceRename, Seq: 1, PC: 0, Path: 0, Tag: "X"},
-		{Cycle: 3, Kind: pipeline.TraceIssue, Seq: 1, PC: 0, Path: 0, Tag: "X"},
-		{Cycle: 4, Kind: pipeline.TraceWriteback, Seq: 1, PC: 0, Path: 0, Tag: "X"},
-		{Cycle: 5, Kind: pipeline.TraceCommit, Seq: 1, PC: 0, Path: 0, Tag: "X"},
-		{Cycle: 5, Kind: pipeline.TraceKill, Seq: 2, PC: 1, Path: 0, Tag: "X"},
-		{Cycle: 5, Kind: pipeline.TraceResolve, Seq: 0, Path: 0, Tag: "X", Note: "path-level"},
+		{Cycle: 1, Kind: pipeline.TraceFetch, Seq: 1, PC: 0, Inst: li},
+		{Cycle: 1, Kind: pipeline.TraceFetch, Seq: 2, PC: 1, Inst: beq},
+		{Cycle: 2, Kind: pipeline.TraceRename, Seq: 1, PC: 0, Inst: li},
+		{Cycle: 3, Kind: pipeline.TraceIssue, Seq: 1, PC: 0, Inst: li},
+		{Cycle: 4, Kind: pipeline.TraceWriteback, Seq: 1, PC: 0, Inst: li},
+		{Cycle: 5, Kind: pipeline.TraceCommit, Seq: 1, PC: 0, Inst: li},
+		{Cycle: 5, Kind: pipeline.TraceKill, Seq: 2, PC: 1, Inst: beq},
 	}
 	var buf bytes.Buffer
 	if err := WriteKonata(&buf, events); err != nil {
@@ -220,11 +222,14 @@ func TestWriteKonata(t *testing.T) {
 		t.Fatalf("bad header %q", sc.Text())
 	}
 	var commits, squashes, rows int
+	var labels []string
 	for sc.Scan() {
 		f := strings.Split(sc.Text(), "\t")
 		switch f[0] {
 		case "I":
 			rows++
+		case "L":
+			labels = append(labels, f[3])
 		case "R":
 			if f[3] == "0" {
 				commits++
@@ -234,7 +239,10 @@ func TestWriteKonata(t *testing.T) {
 		}
 	}
 	if rows != 2 {
-		t.Fatalf("rows = %d, want 2 (path-level event must not create a row)", rows)
+		t.Fatalf("rows = %d, want 2", rows)
+	}
+	if want := []string{"0: li    r1, 5 [XXXX]", "1: beq   r1, r0, @7 [XXXX]"}; !slices.Equal(labels, want) {
+		t.Errorf("labels %q, want %q", labels, want)
 	}
 	if commits != 1 || squashes != 1 {
 		t.Fatalf("commits=%d squashes=%d, want 1 and 1", commits, squashes)

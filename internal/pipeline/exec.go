@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"math/bits"
 
 	"repro/internal/bpred"
@@ -118,9 +117,7 @@ func (m *Machine) issue() {
 			e.state = stateExecuting
 			m.soaIssued(pos)
 			m.schedule(e, lat)
-			if m.tracer != nil {
-				m.emit(TraceIssue, e.seq, e.pc, e.path, e.tag, unit.String())
-			}
+			m.emit(TraceIssue, e, int(unit))
 			m.Stats.FUIssued[unit]++
 			avail[unit]--
 			if left--; left == 0 {
@@ -240,9 +237,7 @@ func (m *Machine) writeback() {
 			continue
 		}
 		e.state = stateDone
-		if m.tracer != nil {
-			m.emit(TraceWriteback, e.seq, e.pc, e.path, e.tag, "")
-		}
+		m.emit(TraceWriteback, e, 0)
 		if e.hasDest {
 			m.physVal[e.dstPhys] = e.result
 			m.physReady.Set(e.dstPhys)
@@ -265,17 +260,7 @@ func (m *Machine) writeback() {
 // branch a misprediction triggers conventional checkpoint recovery.
 func (m *Machine) resolve(e *entry) {
 	e.resolved = true
-	if m.tracer != nil {
-		note := "correct"
-		if !e.diverged && e.outcome != e.predTaken {
-			note = "mispredicted"
-		} else if e.diverged {
-			note = fmt.Sprintf("divergence resolved (taken=%v)", e.outcome)
-		}
-		if m.tracer != nil {
-			m.emit(TraceResolve, e.seq, e.pc, e.path, e.tag, note)
-		}
-	}
+	m.emit(TraceResolve, e, resolveArg(e))
 	e.path.pendingBranches--
 	if e.diverged {
 		m.divergences--
@@ -313,9 +298,7 @@ func (m *Machine) killWrongSubtree(e *entry) {
 // checkpointed register map and global history, and redirect fetch.
 func (m *Machine) recoverMispredict(e *entry) {
 	m.Stats.MonopathRecoveries++
-	if m.tracer != nil {
-		m.emit(TraceRecover, e.seq, e.pc, e.path, e.tag, "checkpoint restore + fetch redirect")
-	}
+	m.emit(TraceRecover, e, 0)
 	p := e.path
 	// Revive the path before killing its younger instructions: the kill
 	// sweep may squash a younger divergent branch on p, and the zombie
@@ -428,9 +411,7 @@ func (m *Machine) killMatching(minSeq uint64, sub ctxtag.Subtree, protect *path)
 func (m *Machine) killEntry(e *entry) {
 	e.killed = true
 	m.Stats.Killed++
-	if m.tracer != nil {
-		m.emit(TraceKill, e.seq, e.pc, e.path, e.tag, "")
-	}
+	m.emit(TraceKill, e, 0)
 	if e.hasDest {
 		m.freeList.Free(e.dstPhys)
 	}
@@ -504,9 +485,7 @@ func (m *Machine) commit() {
 
 func (m *Machine) commitEntry(e *entry) {
 	m.Stats.Committed++
-	if m.tracer != nil {
-		m.emit(TraceCommit, e.seq, e.pc, e.path, e.tag, "")
-	}
+	m.emit(TraceCommit, e, 0)
 	if e.isStore {
 		m.mem.Store(e.addr, e.storeData)
 		if m.dcache != nil {
@@ -584,19 +563,12 @@ func (m *Machine) commitBranch(e *entry) {
 // computed target.
 func (m *Machine) resolveIndirect(e *entry) {
 	e.resolved = true
-	if m.tracer != nil {
-		note := "indirect target correct"
-		if !e.predTargetOK || e.predTarget != e.actualTarget {
-			note = fmt.Sprintf("indirect target mispredicted -> %d", e.actualTarget)
-		}
-		if m.tracer != nil {
-			m.emit(TraceResolve, e.seq, e.pc, e.path, e.tag, note)
-		}
-	}
 	e.path.pendingBranches--
 	if e.predTargetOK && e.predTarget == e.actualTarget {
+		m.emit(TraceResolve, e, -1)
 		m.releaseCkpt(e)
 	} else {
+		m.emit(TraceResolve, e, e.actualTarget)
 		m.recoverIndirect(e)
 	}
 	m.maybeReclaimZombie(e.path)

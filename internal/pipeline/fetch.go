@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"repro/internal/bpred"
 	"repro/internal/confidence"
 	"repro/internal/isa"
@@ -108,14 +106,9 @@ func (m *Machine) fetchPath(p *path, grant int, out *[]*entry) int {
 		}
 		*out = append(*out, f)
 		n++
-		if m.tracer != nil {
-			m.emit(TraceFetch, f.seq, f.pc, f.path, f.tag, disasmNote(in))
-		}
+		m.emit(TraceFetch, f, 0)
 		if f.diverged {
-			if m.tracer != nil {
-				m.emit(TraceDiverge, f.seq, f.pc, f.path, f.tag,
-					fmt.Sprintf("divergence at history position %d", f.histPos))
-			}
+			m.emit(TraceDiverge, f, f.histPos)
 			break // parent stops fetching; children start next cycle
 		}
 	}

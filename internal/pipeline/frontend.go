@@ -107,8 +107,6 @@ func (m *Machine) renameOne(e *entry) bool {
 	}
 	m.windowPush(e)
 	m.Stats.Renamed++
-	if m.tracer != nil {
-		m.emit(TraceRename, e.seq, e.pc, e.path, e.tag, "")
-	}
+	m.emit(TraceRename, e, 0)
 	return true
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
+	"repro/internal/ctxtag"
 	"repro/internal/isa"
 )
 
@@ -46,14 +46,55 @@ func (k TraceKind) String() string {
 }
 
 // TraceEvent is one pipeline event, emitted when a Tracer is attached.
+// It holds plain values; Note writes its text.
 type TraceEvent struct {
 	Cycle uint64
 	Kind  TraceKind
-	Seq   uint64 // instruction sequence number (0 for path-level events)
+	Seq   uint64 // instruction sequence number, from 1
 	PC    int
-	Path  int    // CTX-table slot of the owning path (-1 if unknown)
-	Tag   string // CTX tag in T/N/X notation
-	Note  string // disassembly or event-specific detail
+	Path  int        // CTX-table slot of the owning path
+	Tag   ctxtag.Tag // the instruction's CTX tag at the event
+	Inst  isa.Inst
+	// Arg is an issue's FU class, a divergence's history position, a
+	// conditional resolve's Resolve* flags, or an indirect resolve's
+	// actual target when mispredicted (-1 when correct).
+	Arg int
+}
+
+// Flags of a conditional branch's TraceResolve Arg.
+const (
+	ResolveTaken = 1 << iota
+	ResolveMispredicted
+	ResolveDiverged
+)
+
+// Note returns the event's text: the disassembly of a fetched
+// instruction, the FU class of an issue, or what a divergence, resolve or
+// recovery did. Other kinds have none.
+func (e TraceEvent) Note() string {
+	switch e.Kind {
+	case TraceFetch:
+		return isa.Disasm(e.Inst)
+	case TraceIssue:
+		return isa.FUClass(e.Arg).String()
+	case TraceDiverge:
+		return fmt.Sprintf("divergence at history position %d", e.Arg)
+	case TraceResolve:
+		switch {
+		case e.Inst.Op.IsIndirect() && e.Arg < 0:
+			return "indirect target correct"
+		case e.Inst.Op.IsIndirect():
+			return fmt.Sprintf("indirect target mispredicted -> %d", e.Arg)
+		case e.Arg&ResolveDiverged != 0:
+			return fmt.Sprintf("divergence resolved (taken=%v)", e.Arg&ResolveTaken != 0)
+		case e.Arg&ResolveMispredicted != 0:
+			return "mispredicted"
+		}
+		return "correct"
+	case TraceRecover:
+		return "checkpoint restore + fetch redirect"
+	}
+	return ""
 }
 
 // Tracer receives pipeline events. Implementations must be fast; the
@@ -66,19 +107,31 @@ type Tracer interface {
 // and has no overhead beyond a nil check when disabled.
 func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 
-func (m *Machine) emit(kind TraceKind, seq uint64, pc int, p *path, tag fmt.Stringer, note string) {
-	if m.tracer == nil {
-		return
+// emit sends entry e's event to the attached tracer. It is only a nil
+// check, small enough to inline, so an untraced machine pays just that.
+func (m *Machine) emit(kind TraceKind, e *entry, arg int) {
+	if m.tracer != nil {
+		m.traceEvent(kind, e, arg)
 	}
-	ts := ""
-	if tag != nil {
-		ts = tag.String()
+}
+
+func (m *Machine) traceEvent(kind TraceKind, e *entry, arg int) {
+	m.tracer.Event(TraceEvent{Cycle: m.cycle, Kind: kind, Seq: e.seq, PC: e.pc, Path: e.path.id, Tag: e.tag, Inst: e.inst, Arg: arg})
+}
+
+// resolveArg packs a conditional branch's resolution into Resolve* flags.
+func resolveArg(e *entry) int {
+	arg := 0
+	if e.outcome {
+		arg |= ResolveTaken
 	}
-	pathID := -1
-	if p != nil {
-		pathID = p.id
+	if e.outcome != e.predTaken {
+		arg |= ResolveMispredicted
 	}
-	m.tracer.Event(TraceEvent{Cycle: m.cycle, Kind: kind, Seq: seq, PC: pc, Path: pathID, Tag: ts, Note: note})
+	if e.diverged {
+		arg |= ResolveDiverged
+	}
+	return arg
 }
 
 // PipeTrace collects events and renders per-instruction pipeline timelines
@@ -87,18 +140,16 @@ func (m *Machine) emit(kind TraceKind, seq uint64, pc int, p *path, tag fmt.Stri
 type PipeTrace struct {
 	maxInsts uint64
 	rows     map[uint64]*pipeRow
-	events   []TraceEvent
 	firstSeq uint64
 }
 
 type pipeRow struct {
 	seq                                     uint64
 	pc                                      int
-	tag                                     string
+	tag                                     ctxtag.Tag
 	note                                    string
 	fetch, rename, issue, writeback, commit uint64
 	killed                                  uint64
-	hasKill                                 bool
 }
 
 // NewPipeTrace collects timelines for the first maxInsts fetched
@@ -109,10 +160,6 @@ func NewPipeTrace(maxInsts uint64) *PipeTrace {
 
 // Event implements Tracer.
 func (pt *PipeTrace) Event(e TraceEvent) {
-	if e.Seq == 0 {
-		pt.events = append(pt.events, e)
-		return
-	}
 	if pt.firstSeq == 0 {
 		pt.firstSeq = e.Seq
 	}
@@ -128,7 +175,7 @@ func (pt *PipeTrace) Event(e TraceEvent) {
 	switch e.Kind {
 	case TraceFetch:
 		r.fetch = e.Cycle
-		r.note = e.Note
+		r.note = e.Note()
 	case TraceRename:
 		r.rename = e.Cycle
 	case TraceIssue:
@@ -139,7 +186,6 @@ func (pt *PipeTrace) Event(e TraceEvent) {
 		r.commit = e.Cycle
 	case TraceKill:
 		r.killed = e.Cycle
-		r.hasKill = true
 	}
 }
 
@@ -164,30 +210,15 @@ func (pt *PipeTrace) Render(w io.Writer) error {
 	for _, s := range seqs {
 		r := pt.rows[s]
 		end := "-"
-		if r.hasKill {
+		if r.killed != 0 {
 			end = fmt.Sprintf("K%d", r.killed)
 		} else if r.commit != 0 {
 			end = fmt.Sprintf("C%d", r.commit)
 		}
 		if _, err := fmt.Fprintf(w, "%6d %6d %-8s %8s %8s %8s %8s %8s  %s\n",
-			r.seq, r.pc, r.tag, cyc(r.fetch), cyc(r.rename), cyc(r.issue), cyc(r.writeback), end, r.note); err != nil {
-			return err
-		}
-	}
-	for _, e := range pt.events {
-		if _, err := fmt.Fprintf(w, "@%d %s %s\n", e.Cycle, e.Kind, e.Note); err != nil {
+			r.seq, r.pc, r.tag.String(), cyc(r.fetch), cyc(r.rename), cyc(r.issue), cyc(r.writeback), end, r.note); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// Summary returns counts of collected rows and control events.
-func (pt *PipeTrace) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pipetrace: %d instructions, %d control events", len(pt.rows), len(pt.events))
-	return b.String()
-}
-
-// disasmNote renders a fetched instruction for trace notes.
-func disasmNote(in isa.Inst) string { return isa.Disasm(in) }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/debughttp"
 	"repro/internal/obs/metrics"
 )
 
@@ -166,9 +167,4 @@ func (s *Server) observeJobDuration(state JobState, d time.Duration) {
 // MetricsHandler serves the registry in Prometheus text exposition
 // format; Handler mounts it at GET /metrics, and cmd/polyserve reuses it
 // on the -debug-addr endpoint next to net/http/pprof.
-func (s *Server) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = s.reg.WritePrometheus(w)
-	})
-}
+func (s *Server) MetricsHandler() http.Handler { return debughttp.Metrics(s.reg) }

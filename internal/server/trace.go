@@ -5,9 +5,7 @@ import (
 	"net/http"
 	"sync"
 
-	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 )
 
 // trace.go implements per-job cycle-level trace capture: a job submitted
@@ -35,18 +33,17 @@ const jobTraceBudget = 1 << 18
 
 func newJobTrace() *jobTrace { return &jobTrace{budget: jobTraceBudget} }
 
-// add stores one simulated cell's captured events (an Options.OnTrace
-// callback; may run concurrently on harness workers).
-func (t *jobTrace) add(ev harness.CellEvent, events []pipeline.TraceEvent, dropped uint64) {
-	label := harness.CellID(ev.Benchmark, ev.Config, ev.Replicate)
+// add stores one simulated cell's trace (an Options.OnTrace callback;
+// may run concurrently on harness workers).
+func (t *jobTrace) add(cell obs.CellTrace) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(events) > t.budget {
+	if len(cell.Events) > t.budget {
 		t.droppedCells++
 		return
 	}
-	t.budget -= len(events)
-	t.cells = append(t.cells, obs.CellTrace{Label: label, Events: events, Dropped: dropped})
+	t.budget -= len(cell.Events)
+	t.cells = append(t.cells, cell)
 }
 
 // snapshot returns the stored cells (shared slices; callers only read).

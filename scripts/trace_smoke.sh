@@ -1,15 +1,13 @@
 #!/usr/bin/env bash
-# trace_smoke.sh — end-to-end smoke test of the observability subsystem's
-# cycle-level tracing.
+# trace_smoke.sh — end-to-end smoke test of polysim's -trace flag, the
+# part of cycle-level tracing that needs a process.
 #
-# Runs a 50k-instruction compress cell under polysim with -trace for both
-# the see and dualpath models and checks that:
-#   1. the exported Chrome/Perfetto trace_event JSON is well-formed: the
-#      required keys are present and per-process timestamps are monotonic
-#      (so Perfetto and chrome://tracing load it cleanly),
-#   2. the Konata export has the expected header and record structure, and
-#   3. tracing is observation-only: polysim's statistics report is
-#      byte-identical with and without -trace.
+# Runs a 50k-instruction compress cell under polysim with -trace, in the
+# Chrome/Perfetto format for the see and dualpath models and in the
+# Konata format (both chosen by file extension), and checks that tracing
+# is observation-only: polysim's statistics report is byte-identical with
+# and without -trace. The exports' structure is checked in go test by
+# TestTraceExportGolden (internal/obs).
 #
 # Trace artifacts are left in TRACE_OUT (default: a temp dir; CI sets it
 # to a workspace path and uploads the directory as a workflow artifact).
@@ -26,58 +24,14 @@ echo "== building =="
 go build -o "$WORKDIR/polysim" ./cmd/polysim
 "$WORKDIR/polysim" -version
 
-run_traced() { # model, trace file, extra flags...
-    local model="$1" out="$2"
-    shift 2
-    "$WORKDIR/polysim" -bench compress -insts 50000 -model "$model" \
-        -trace "$out" "$@" 2>"$WORKDIR/trace-stderr.txt"
-    cat "$WORKDIR/trace-stderr.txt" >&2
+run_traced() { # model, trace file
+    "$WORKDIR/polysim" -bench compress -insts 50000 -model "$1" -trace "$2" >/dev/null
 }
 
-validate_chrome() { # file
-    python3 - "$1" <<'EOF'
-import json, sys
-
-path = sys.argv[1]
-with open(path) as f:
-    doc = json.load(f)  # must be well-formed JSON
-
-events = doc["traceEvents"]
-assert events, "traceEvents is empty"
-required = {"name", "ph", "ts", "pid", "tid"}
-last_ts = {}
-n_x = 0
-for e in events:
-    missing = required - set(e)
-    assert not missing, f"event missing keys {missing}: {e}"
-    if e["ph"] != "X":
-        continue
-    n_x += 1
-    pid = e["pid"]
-    assert e["ts"] >= last_ts.get(pid, 0), \
-        f"pid {pid}: ts {e['ts']} after {last_ts[pid]} (not monotonic)"
-    last_ts[pid] = e["ts"]
-assert n_x > 0, "no complete (ph=X) events"
-kinds = {e["name"] for e in events if e["ph"] == "X"}
-for kind in ("fetch", "commit"):
-    assert kind in kinds, f"no {kind} events in {kinds}"
-print(f"  {path}: {n_x} events, kinds={sorted(kinds)}: OK")
-EOF
-}
-
-echo "== chrome trace: see and dualpath =="
+echo "== chrome traces: see and dualpath; konata trace: see =="
 run_traced see "$TRACE_OUT/compress-see.json"
 run_traced dualpath "$TRACE_OUT/compress-dualpath.json"
-validate_chrome "$TRACE_OUT/compress-see.json"
-validate_chrome "$TRACE_OUT/compress-dualpath.json"
-
-echo "== konata trace =="
 run_traced see "$TRACE_OUT/compress-see.kanata"
-head -1 "$TRACE_OUT/compress-see.kanata" | grep -q '^Kanata' \
-    || { echo "FAIL: konata header missing" >&2; exit 1; }
-grep -qc '^R' "$TRACE_OUT/compress-see.kanata" \
-    || { echo "FAIL: konata trace has no retire records" >&2; exit 1; }
-echo "  konata header and retire records: OK"
 
 echo "== tracing is observation-only =="
 "$WORKDIR/polysim" -bench compress -insts 50000 -model dualpath >"$WORKDIR/plain.txt"
