@@ -145,7 +145,7 @@ func main() {
 		return
 	}
 	if *mix {
-		prof, err := isa.ProfileProgram(prog, 1<<26)
+		prof, err := isa.ProfileProgram(prog, pipeline.DefaultRefCap)
 		fail(err)
 		fmt.Print(prof.String())
 		return

@@ -1,24 +1,39 @@
 package isa
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
 
 // refcache.go caches reference functional runs per program. Every pipeline
 // machine needs the in-order branch/jump record and the final architectural
 // state of the workload it simulates (for the oracle predictor, the oracle
 // confidence estimator, and end-of-run verification). The functional run is
 // deterministic, so machines simulating the same program with the same
-// instruction cap can share one run instead of re-interpreting the program
-// per configuration — a large constant cost when a harness sweep builds
-// dozens of machines over the same workloads.
+// instruction cap, or any cap past the point where the program halts, can
+// share one run instead of re-interpreting the program per configuration —
+// a large constant cost when a harness sweep builds dozens of machines
+// over the same workloads.
 
-// refRun is one cached reference execution.
+// refRun is one cached reference execution. done is closed once trace,
+// final and err are set; until then the run is in flight.
 type refRun struct {
-	recs  []BranchRecord
-	final *Interp
-	err   error
+	maxInsts uint64
+	done     chan struct{}
+	trace    *RefTrace
+	final    *Interp
+	err      error
 }
 
-// refCache holds the per-(program, maxInsts) reference runs. Keying on the
+// serves reports whether the finished run r answers a request capped at
+// maxInsts. A run cut short by its cap answers that cap only; a run that
+// halted answers every cap at or above the instructions it executed,
+// since a larger cap would halt at the same instruction.
+func (r *refRun) serves(maxInsts uint64) bool {
+	return r.maxInsts == maxInsts || (r.err == nil && r.final.Halted && r.final.InstCount <= maxInsts)
+}
+
+// refCache holds the reference runs of each program. Keying on the
 // Program pointer is correct because programs are immutable after
 // construction: the same pointer always denotes the same code and data.
 //
@@ -29,7 +44,7 @@ type refRun struct {
 // footprint flat without per-entry bookkeeping.
 var refCache struct {
 	sync.Mutex
-	runs map[*Program]map[uint64]*refRun
+	runs map[*Program][]*refRun
 }
 
 // refCacheMaxPrograms caps how many distinct programs the cache retains
@@ -37,29 +52,61 @@ var refCache struct {
 // memory's page table and the pages the run copied, not a full image.
 const refCacheMaxPrograms = 64
 
+// runRef is the reference run TraceCached caches; tests substitute it.
+var runRef = traceRef
+
+// errRunPanicked is the result of a reference run that panicked, for the
+// requests that waited on it.
+var errRunPanicked = errors.New("isa: reference run panicked")
+
 // TraceCached returns the reference run for p capped at maxInsts,
-// functionally executing the program only on the first request for that
-// (program, cap) pair. The returned slice and interpreter are shared:
-// callers must treat them as read-only. The lock is held across the
-// underlying Trace so concurrent first requests dedupe onto one run.
-func TraceCached(p *Program, maxInsts uint64) ([]BranchRecord, *Interp, error) {
+// functionally executing the program only when no cached run of p
+// answers that cap. The returned trace and interpreter are shared:
+// callers must treat them as read-only. Concurrent requests that miss on
+// the same (program, cap) pair wait for one run; the cache's lock is held
+// only to look a run up or to insert one, so a hit never waits for a run
+// of another program.
+func TraceCached(p *Program, maxInsts uint64) (*RefTrace, *Interp, error) {
+	r, owner := claimRef(p, maxInsts)
+	if owner {
+		r.run(p)
+	}
+	<-r.done
+	return r.trace, r.final, r.err
+}
+
+// claimRef finds the run of p that answers maxInsts: a finished run that
+// serves it, or one in flight under the same cap. Failing both, it inserts
+// a new in-flight run, which the caller (owner) must execute.
+func claimRef(p *Program, maxInsts uint64) (r *refRun, owner bool) {
 	refCache.Lock()
 	defer refCache.Unlock()
-	if refCache.runs == nil {
-		refCache.runs = make(map[*Program]map[uint64]*refRun)
+	runs, ok := refCache.runs[p]
+	if refCache.runs == nil || (!ok && len(refCache.runs) >= refCacheMaxPrograms) {
+		refCache.runs = make(map[*Program][]*refRun)
 	}
-	byCap := refCache.runs[p]
-	if byCap == nil {
-		if len(refCache.runs) >= refCacheMaxPrograms {
-			refCache.runs = make(map[*Program]map[uint64]*refRun)
+	for _, r := range runs {
+		select {
+		case <-r.done:
+			if r.serves(maxInsts) {
+				return r, false
+			}
+		default:
+			if r.maxInsts == maxInsts {
+				return r, false
+			}
 		}
-		byCap = make(map[uint64]*refRun)
-		refCache.runs[p] = byCap
 	}
-	if r, ok := byCap[maxInsts]; ok {
-		return r.recs, r.final, r.err
-	}
-	recs, final, err := Trace(p, maxInsts)
-	byCap[maxInsts] = &refRun{recs: recs, final: final, err: err}
-	return recs, final, err
+	r = &refRun{maxInsts: maxInsts, done: make(chan struct{})}
+	refCache.runs[p] = append(runs, r)
+	return r, true
+}
+
+// run executes the reference run and publishes its result. If the run
+// panics, the requests waiting on it fail with errRunPanicked and the
+// panic goes on up the owner's stack.
+func (r *refRun) run(p *Program) {
+	r.err = errRunPanicked
+	defer close(r.done)
+	r.trace, r.final, r.err = runRef(p, r.maxInsts)
 }

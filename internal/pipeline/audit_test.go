@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -189,6 +190,39 @@ func injectFault(t *testing.T, prog *isa.Program, kind Fault) *MachineCheckError
 		t.Fatalf("fault %s on %s: machine check missing check/detail: %+v", kind, prog.Name, mce)
 	}
 	return mce
+}
+
+// TestTraceCursorCheckFires skews one on-trace branch's record number
+// mid-run and requires the commit-time cursor check to name it. Fetch
+// reads the reference record under an on-trace cursor without testing its
+// PC, so this check is what stands behind every oracle read.
+func TestTraceCursorCheckFires(t *testing.T) {
+	bm, err := workload.ByName("compress", 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := workload.Generate(bm.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(prog, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := false
+	m.SetFaultHook(func(cycle uint64) {
+		if !skewed && cycle >= 50 {
+			skewed = SkewTraceCursor(m)
+		}
+	})
+	err = m.RunContext(context.Background())
+	if !skewed {
+		t.Fatal("no on-trace control-flow instruction to skew")
+	}
+	var mce *MachineCheckError
+	if !errors.As(err, &mce) || mce.Check != "trace-cursor" {
+		t.Fatalf("want a trace-cursor machine check, got %v", err)
+	}
 }
 
 // TestForeignPanicContained verifies that an arbitrary panic on the cycle

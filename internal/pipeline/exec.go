@@ -517,6 +517,9 @@ func (m *Machine) commitBranch(e *entry) {
 	if !e.resolved {
 		m.machineCheckf("rob-order", e.pc, "committing unresolved branch seq %d", e.seq)
 	}
+	if e.onTrace {
+		m.checkTrace(e)
+	}
 	// Only architecturally-correct branches reach commit, so this is the
 	// pollution-free training point for the predictor and the estimator.
 	if !m.oracle {
@@ -540,14 +543,6 @@ func (m *Machine) commitBranch(e *entry) {
 		}
 	} else if !correct {
 		m.Stats.HighConfMispred++
-	}
-
-	// Trace invariant: a committed branch that tracked the architectural
-	// stream must agree with the reference execution.
-	if e.onTrace && e.traceIdx < len(m.trace) {
-		if r := m.trace[e.traceIdx]; !r.Indirect && r.Taken != e.outcome {
-			m.machineCheckf("trace-divergence", e.pc, "committed branch disagrees with reference trace (got taken=%v)", e.outcome)
-		}
 	}
 
 	if e.diverged {
@@ -604,6 +599,9 @@ func (m *Machine) commitIndirect(e *entry) {
 	if !e.resolved {
 		m.machineCheckf("rob-order", e.pc, "committing unresolved indirect jump seq %d", e.seq)
 	}
+	if e.onTrace {
+		m.checkTrace(e)
+	}
 	if !e.isRet {
 		m.btb.Update(e.pc, e.actualTarget)
 	}
@@ -611,9 +609,22 @@ func (m *Machine) commitIndirect(e *entry) {
 	if !e.predTargetOK || e.predTarget != e.actualTarget {
 		m.Stats.IndirectMispredicts++
 	}
-	if e.onTrace && e.traceIdx < len(m.trace) {
-		if r := m.trace[e.traceIdx]; r.Indirect && int(r.Target) != e.actualTarget {
-			m.machineCheckf("trace-divergence", e.pc, "committed indirect jump disagrees with reference trace (got target %d, want %d)", e.actualTarget, int(r.Target))
+}
+
+// checkTrace holds a committing branch or indirect jump that tracked the
+// architectural stream to the reference run. Its record number must be
+// the count of control-flow instructions committed before it, since fetch
+// trusts the record under an on-trace cursor without knowing its PC, and
+// it must resolve the way that record did.
+func (m *Machine) checkTrace(e *entry) {
+	if want := m.Stats.CondBranches + m.Stats.IndirectJumps; uint64(e.traceIdx) != want {
+		m.machineCheckf("trace-cursor", e.pc, "on-trace control-flow instruction holds record %d, want %d", e.traceIdx, want)
+	}
+	if e.isIndirect {
+		if want := m.trace.Target(e.traceIdx); want != e.actualTarget {
+			m.machineCheckf("trace-divergence", e.pc, "committed indirect jump disagrees with reference trace (got target %d, want %d)", e.actualTarget, want)
 		}
+	} else if m.trace.Taken(e.traceIdx) != e.outcome {
+		m.machineCheckf("trace-divergence", e.pc, "committed branch disagrees with reference trace (got taken=%v)", e.outcome)
 	}
 }

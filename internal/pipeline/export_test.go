@@ -57,3 +57,16 @@ func poisonValue(v reflect.Value, dummy *path, rasDepth int) {
 		panic(fmt.Sprintf("PoisonEntryPool: no junk for field type %s", v.Type()))
 	}
 }
+
+// SkewTraceCursor moves the record number of the oldest on-trace branch
+// or indirect jump in m's window one record on, as a cursor that fell out
+// of step with fetch would, and reports whether the window held one.
+func SkewTraceCursor(m *Machine) bool {
+	for _, e := range m.window {
+		if e.onTrace {
+			e.traceIdx++
+			return true
+		}
+	}
+	return false
+}

@@ -122,12 +122,12 @@ func (m *Machine) fetchBranch(p *path, f *entry) {
 	pc := f.pc
 	// Trace cursor: the oracle predictor and oracle confidence estimator
 	// need the actual outcome, which is known at fetch only while this
-	// path tracks the architectural execution stream.
+	// path tracks the architectural execution stream. On such a path the
+	// record at the cursor is this branch's own; commit checks that
+	// (checkTrace).
 	actualKnown, actualTaken := false, false
-	if p.onTrace && p.traceIdx < len(m.trace) {
-		if r := m.trace[p.traceIdx]; !r.Indirect && int(r.PC) == pc {
-			actualKnown, actualTaken = true, r.Taken
-		}
+	if i := p.traceIdx; p.onTrace && i < m.trace.Len() && !m.trace.Indirect(i) {
+		actualKnown, actualTaken = true, m.trace.Taken(i)
 	}
 
 	// Prediction history: speculative per-path history by default, or the
@@ -253,10 +253,8 @@ func (m *Machine) fetchIndirect(p *path, f *entry) {
 	// Trace cursor: consume the indirect record if this path tracks the
 	// architectural stream.
 	actualKnown, actualTarget := false, 0
-	if p.onTrace && p.traceIdx < len(m.trace) {
-		if r := m.trace[p.traceIdx]; r.Indirect && int(r.PC) == pc {
-			actualKnown, actualTarget = true, int(r.Target)
-		}
+	if i := p.traceIdx; p.onTrace && i < m.trace.Len() && m.trace.Indirect(i) {
+		actualKnown, actualTarget = true, m.trace.Target(i)
 	}
 	f.onTrace = p.onTrace && actualKnown
 

@@ -210,7 +210,7 @@ type Machine struct {
 	btb      *bpred.BTB
 	oracle   bool // PredOracle: predict from the trace
 	conf     confidence.Estimator
-	trace    []isa.BranchRecord
+	trace    *isa.RefTrace
 	interp   *isa.Interp // final state of the functional reference run
 	refCount uint64      // dynamic instructions the reference run executed
 
@@ -277,6 +277,11 @@ type Machine struct {
 	Stats stats.Sim
 }
 
+// DefaultRefCap caps the reference run of a machine built without
+// MaxInsts: a program that has not halted within it is refused. It covers
+// compress's 113.8M instructions, the shortest of the paper's runs.
+const DefaultRefCap = 1 << 27
+
 // New builds a machine for prog. The functional reference run (which also
 // produces the oracle branch trace) executes eagerly so that construction
 // surfaces program errors early.
@@ -303,19 +308,18 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		a = &Arena{}
 	}
 	// The reference (functional) run bounds the simulation. Without an
-	// explicit MaxInsts we cap it generously; longer programs must set
-	// MaxInsts explicitly.
-	const defaultRefCap = 1 << 26
+	// explicit MaxInsts it is capped at DefaultRefCap; longer programs must
+	// set MaxInsts explicitly.
 	maxInsts := cfg.MaxInsts
 	if maxInsts == 0 {
-		maxInsts = defaultRefCap
+		maxInsts = DefaultRefCap
 	}
 	trace, ref, err := isa.TraceCached(prog, maxInsts)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: reference run: %w", err)
 	}
 	if !ref.Halted && cfg.MaxInsts == 0 {
-		return nil, fmt.Errorf("pipeline: program does not halt")
+		return nil, fmt.Errorf("pipeline: program does not halt within %d instructions; set MaxInsts to run it longer", uint64(DefaultRefCap))
 	}
 
 	m := &Machine{

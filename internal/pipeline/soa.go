@@ -10,8 +10,8 @@ import (
 // soa.go is the structure-of-arrays scheduler core: dense per-window-slot
 // bitmaps and a parallel array of select inputs that let wakeup and select
 // walk set bits with bits.TrailingZeros64 instead of scanning pointer-heavy
-// window entries (the ready-bitmap + CTZ scheduler pattern, cf. ROADMAP
-// item 3).
+// window entries (the ready-bitmap + CTZ scheduler pattern; DESIGN.md §3,
+// "Select").
 //
 // Slots are winBuf positions: the window occupies winBuf[winOff :
 // winOff+len(window)] in seq (age) order, so an ascending bit walk IS the
