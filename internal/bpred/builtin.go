@@ -65,6 +65,7 @@ func init() {
 			}
 			return &Static{TargetOf: env.TargetOf}, nil
 		},
+		KeepsEnv: true,
 	})
 	MustRegister(Entry{
 		Kind: "oracle",

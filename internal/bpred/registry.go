@@ -40,6 +40,10 @@ type Entry struct {
 	// StateBytes returns the hardware budget in bytes for normalized
 	// params. Entries with no table state may leave it nil (treated as 0).
 	StateBytes func(p Params) int
+	// KeepsEnv marks a kind whose predictors keep the Env they were built
+	// with, so each serves only its own program. A predictor of any other
+	// kind is reusable: Reset returns it to the state New built.
+	KeepsEnv bool
 }
 
 var kinds = registry.New("predictor", func(e *Entry) *string { return &e.Kind })

@@ -2,6 +2,7 @@ package confidence
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/registry"
 )
@@ -31,6 +32,15 @@ type Spec struct {
 	// Params carries extra integer parameters for registered estimators
 	// that need more than the named fields. nil and empty are equivalent.
 	Params map[string]int
+}
+
+// Equal reports whether s and o describe the same estimator field for
+// field, nil and empty Params alike.
+func (s Spec) Equal(o Spec) bool {
+	return s.Kind == o.Kind && s.IndexBits == o.IndexBits && s.CtrBits == o.CtrBits &&
+		s.Threshold == o.Threshold && s.EnhancedIndex == o.EnhancedIndex &&
+		s.AdaptiveMinPVN == o.AdaptiveMinPVN && s.AdaptiveWindow == o.AdaptiveWindow &&
+		maps.Equal(s.Params, o.Params)
 }
 
 // Entry describes one registered estimator kind. Normalize validates the

@@ -48,9 +48,9 @@ type Result struct {
 // pipeline tracer (nil for none; observation only, the result is
 // bit-identical to an untraced run), and arena-style buffer recycling.
 // A worker that runs cells back-to-back passes the same *pipeline.Arena
-// each time; the machine draws its large allocations (memory pages,
-// register file, window, scheduler state, pools) from the arena and
-// donates them back after a successful, verified run. A nil arena
+// each time; the machine draws its allocations (memory pages, register
+// file, window, scheduler state, pools, rename and predictor tables)
+// from the arena and donates them back after a successful, verified run. A nil arena
 // degrades to plain allocation. Failed or panicked cells never recycle,
 // so their state stays inspectable and the arena stays valid.
 func RunCell(ctx context.Context, prog *isa.Program, cfg Config, tr pipeline.Tracer, a *pipeline.Arena) (*Result, error) {

@@ -13,3 +13,16 @@ func RetainedBytes(t *RefTrace) int {
 	}
 	return n
 }
+
+// ExpandedPages returns how many pages of p's packed region have been
+// expanded.
+func ExpandedPages(p *Program) int {
+	n := 0
+	cache := p.pageCache()
+	for i := range cache {
+		if cache[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -15,7 +15,10 @@
 // micro-architecture simulator needs.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // NumRegs is the number of logical integer registers. Register 0 reads as
 // zero and writes to it are discarded.
@@ -97,27 +100,60 @@ type Inst struct {
 
 // Program is a complete executable: code, the initial contents of data
 // memory, and the memory size in 64-bit words (must be a power of two).
+// Memory at reset holds the packed region, then DataInit, then zeros.
 //
-// A Program is immutable once built: nothing writes its Code or DataInit
-// after construction. The reference-run cache keys on the pointer, and
-// every Memory of the program reads DataInit's full pages in place, so a
-// write to either would change every machine simulating the program.
+// A Program is immutable once built: nothing writes its Code, Packed or
+// DataInit after construction. The reference-run cache keys on the
+// pointer, and every Memory of the program reads DataInit's full pages
+// and the packed region's expanded pages in place, so a write to either
+// would change every machine simulating the program. Expanding a packed
+// page fills a cache that all the program's memories share; no word of
+// memory changes.
 type Program struct {
-	Name     string
-	Code     []Inst
-	DataInit []int64 // the low words of memory at reset
+	Name string
+	Code []Inst
+	// Packed holds the lowest PackedWords() words of memory at reset,
+	// PackedBits each: word a is bits PackedBits*(a%PackedPerWord) up of
+	// Packed[a/PackedPerWord]. It covers whole pages, each expanded to
+	// 64-bit words once, when a memory first reads or copies it.
+	Packed   []uint64
+	DataInit []int64 // the words after the packed region at reset
 	MemWords int     // power of two; total memory size in words
+
+	// expanded is the packed region's page cache, made on first use: one
+	// pointer per page, nil until the page is expanded (memory.go).
+	expanded atomic.Pointer[[]atomic.Pointer[page]]
+}
+
+// The packed region stores PackedBits per word, PackedPerWord words to
+// an element of Program.Packed: enough for the generator's branch
+// streams, whose words are 0 or 1, or a switch case below 16.
+const (
+	PackedBits    = 4
+	PackedPerWord = 64 / PackedBits
+)
+
+// PackedWords returns the size of p's packed region in words.
+func (p *Program) PackedWords() int { return len(p.Packed) * PackedPerWord }
+
+// PackedWord returns word a of p's packed region, a < PackedWords().
+func (p *Program) PackedWord(a int) int64 {
+	return int64(p.Packed[a/PackedPerWord] >> (a % PackedPerWord * PackedBits) & (1<<PackedBits - 1))
 }
 
 // Validate checks structural invariants of the program: a power-of-two
-// memory that covers DataInit, in-range branch targets, in-range register
-// numbers, and termination via at least one Halt.
+// memory that covers the packed region, of whole pages, and DataInit;
+// in-range branch targets, in-range register numbers, and termination via
+// at least one Halt.
 func (p *Program) Validate() error {
 	if p.MemWords <= 0 || p.MemWords&(p.MemWords-1) != 0 {
 		return fmt.Errorf("isa: program %q: MemWords %d is not a positive power of two", p.Name, p.MemWords)
 	}
-	if len(p.DataInit) > p.MemWords {
-		return fmt.Errorf("isa: program %q: DataInit (%d words) exceeds MemWords (%d)", p.Name, len(p.DataInit), p.MemWords)
+	if len(p.Packed)%packedPerPage != 0 {
+		return fmt.Errorf("isa: program %q: packed region (%d words) is not a whole number of %d-word pages", p.Name, p.PackedWords(), PageWords)
+	}
+	if p.PackedWords()+len(p.DataInit) > p.MemWords {
+		return fmt.Errorf("isa: program %q: packed region (%d words) and DataInit (%d words) exceed MemWords (%d)", p.Name, p.PackedWords(), len(p.DataInit), p.MemWords)
 	}
 	if len(p.Code) == 0 {
 		return fmt.Errorf("isa: program %q: empty code", p.Name)

@@ -172,7 +172,6 @@ func TestValidateAcceptsGoodProgram(t *testing.T) {
 }
 
 func TestValidateRejectsBadPrograms(t *testing.T) {
-	base := testProgram()
 	tests := []struct {
 		name   string
 		mutate func(*Program)
@@ -187,9 +186,8 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 		{"bad register", func(p *Program) { p.Code[0].Dst = NumRegs }},
 	}
 	for _, tc := range tests {
-		p := *base
-		p.Code = append([]Inst(nil), base.Code...)
-		tc.mutate(&p)
+		p := testProgram()
+		tc.mutate(p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid program", tc.name)
 		}

@@ -268,3 +268,140 @@ func FuzzMemory(f *testing.F) {
 		}
 	})
 }
+
+// packedProgram returns a program with pages packed pages of random
+// words, then n DataInit words, each its address plus one, in a memory
+// of words words.
+func packedProgram(pages, n, words int) *Program {
+	p := pagedProgram(n, words)
+	rng := rand.New(rand.NewSource(int64(pages)))
+	p.Packed = make([]uint64, pages*packedPerPage)
+	for i := range p.Packed {
+		p.Packed[i] = rng.Uint64()
+	}
+	return p
+}
+
+func TestMemoryLoadsPackedWords(t *testing.T) {
+	p := packedProgram(3, PageWords+5, 8*PageWords)
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMemory(p)
+	base := p.PackedWords()
+	for a := range m.Words() {
+		var want int64
+		switch {
+		case a < base:
+			w := p.Packed[a/PackedPerWord]
+			want = int64(w >> (PackedBits * (a % PackedPerWord)) & 15)
+		case a < base+len(p.DataInit):
+			want = int64(a - base + 1)
+		}
+		if got := m.Load(a); got != want {
+			t.Fatalf("word %d = %d, want %d", a, got, want)
+		}
+	}
+	if got := ExpandedPages(p); got != 3 {
+		t.Errorf("%d packed pages expanded after reading all 3", got)
+	}
+	if again := NewMemory(p); again.pages[1] != p.packedPage(1) {
+		t.Error("a memory reset after expansion should map the expanded page")
+	}
+}
+
+func TestMemoryStoreCopiesUnexpandedPackedPage(t *testing.T) {
+	p := packedProgram(2, 0, 4*PageWords)
+	packed := slices.Clone(p.Packed)
+	m := NewMemory(p)
+	if m.pages[0] != nil || m.pages[1] != nil {
+		t.Fatal("packed pages should stay unmapped until expanded")
+	}
+	a := PageWords + 9
+	want := p.PackedWord(a + 1)
+	m.Store(a, -3)
+	if !m.own[1] || m.own[0] || ExpandedPages(p) != 1 {
+		t.Fatalf("own = %v, %d pages expanded; want page 1 copied from its expansion", m.own, ExpandedPages(p))
+	}
+	if got := m.Load(a + 1); got != want {
+		t.Errorf("copied page lost its packed word: %d, want %d", got, want)
+	}
+	if got := m.Load(a); got != -3 {
+		t.Errorf("Load after Store = %d, want -3", got)
+	}
+	if got := NewMemory(p).Load(a); got != p.PackedWord(a) {
+		t.Errorf("Store wrote the expanded page: another memory reads %d, want %d", got, p.PackedWord(a))
+	}
+	if !slices.Equal(p.Packed, packed) {
+		t.Error("Store wrote Packed")
+	}
+}
+
+func TestMemoryDiffAcrossPackedExpansion(t *testing.T) {
+	p := packedProgram(4, 0, 4*PageWords)
+	before := NewMemory(p) // maps no packed page
+	before.Load(2 * PageWords)
+	after := NewMemory(p) // maps page 2, which before expanded
+	if after.pages[2] == nil || before.pages[2] != nil {
+		t.Fatal("only the memory reset after the expansion should map it")
+	}
+	if got := before.Diff(after); got != -1 {
+		t.Errorf("Diff = %d between equal memories", got)
+	}
+	if got := after.Diff(before); got != -1 {
+		t.Errorf("Diff = %d between equal memories", got)
+	}
+	a := 2*PageWords + 100
+	after.Store(a, p.PackedWord(a)+1)
+	if got := before.Diff(after); got != a {
+		t.Errorf("Diff = %d, want %d", got, a)
+	}
+	before.Store(a, p.PackedWord(a)+1)
+	if got := after.Diff(before); got != -1 {
+		t.Errorf("Diff = %d after the same store on both sides", got)
+	}
+	if got := ExpandedPages(p); got != 1 {
+		t.Errorf("%d pages expanded, want page 2 only", got)
+	}
+}
+
+func TestMemoryDiffLeavesUnmappedPackedPagesUnexpanded(t *testing.T) {
+	p := packedProgram(4, 10, 8*PageWords)
+	m, o := NewMemory(p), NewMemory(p)
+	if got := m.Diff(o); got != -1 {
+		t.Fatalf("Diff = %d between fresh memories", got)
+	}
+	if got := ExpandedPages(p); got != 0 {
+		t.Fatalf("Diff of fresh memories expanded %d pages", got)
+	}
+	a := 3*PageWords + 1
+	o.Store(a, 99)
+	if got := m.Diff(o); got != a {
+		t.Errorf("Diff = %d, want %d", got, a)
+	}
+	if got := ExpandedPages(p); got != 1 {
+		t.Errorf("%d pages expanded, want only the stored page", got)
+	}
+	// Nil pages of two programs are not the same page: Diff expands both.
+	q := packedProgram(4, 10, 8*PageWords)
+	q.Packed[packedPerPage] ^= 1 // word PageWords
+	if got := NewMemory(q).Diff(m); got != PageWords {
+		t.Errorf("Diff = %d against another program's image, want %d", got, PageWords)
+	}
+}
+
+func TestValidateRejectsBadPackedRegion(t *testing.T) {
+	ragged := packedProgram(1, 0, 4*PageWords)
+	ragged.Packed = ragged.Packed[:packedPerPage-1]
+	if err := ragged.Validate(); err == nil {
+		t.Error("Validate accepted a packed region of part of a page")
+	}
+	over := packedProgram(3, PageWords+1, 4*PageWords)
+	if err := over.Validate(); err == nil {
+		t.Error("Validate accepted a packed region and DataInit past MemWords")
+	}
+	fits := packedProgram(3, PageWords, 4*PageWords)
+	if err := fits.Validate(); err != nil {
+		t.Errorf("Validate rejected a packed region and DataInit that fill memory: %v", err)
+	}
+}

@@ -1,21 +1,32 @@
 package pipeline
 
 import (
+	"maps"
+	"slices"
+
+	"repro/internal/bpred"
+	"repro/internal/confidence"
+	"repro/internal/ctxtag"
 	"repro/internal/isa"
 	"repro/internal/rename"
 )
 
-// arena.go: arena-style reuse of a machine's large allocations across
+// arena.go: arena-style reuse of a machine's allocations across
 // simulations. An experiment sweep builds one Machine per (benchmark,
 // config, replicate) cell; without reuse every cell re-allocates the
-// memory's page table and private pages, the physical register file, the
-// window backing array and its SoA scheduler state, the completion ring,
-// the CTX slots, and the object pools the cycle loop warmed up. A worker
-// that runs cells back-to-back instead donates the finished machine's
-// buffers to its Arena and the next NewWithArena draws them out again,
-// so steady-state per-cell allocation approaches the small fixed state
-// (predictors, rename tables, histograms) that either escapes with the
-// result or depends on the configuration shape.
+// memory's page table and private pages, the physical register file and
+// its free list, the checkpoints and their return-address-stack
+// snapshots, the window backing array and its SoA scheduler state, the
+// completion ring, the CTX slots and allocator, the BTB, the predictor
+// and confidence tables, and the object pools the cycle loop warmed up.
+// A worker that runs cells back-to-back instead donates the finished
+// machine's state to its Arena and the next NewWithArena draws it out
+// again, reset to what a fresh build would hold, so steady-state
+// per-cell allocation approaches the small state (histograms, the
+// machine itself) that escapes with the result. The predictor and the
+// estimator are drawn only by a configuration whose normalized kind and
+// parameters match the donor's; a predictor that keeps its program's
+// Env (bpred.Entry.KeepsEnv) is never donated.
 //
 // An Arena is NOT safe for concurrent use: it belongs to one worker
 // (harness.RunConfigs keeps one per scheduler shard). Buffers are taken
@@ -23,12 +34,23 @@ import (
 // cell that panics or fails mid-run simply never returns them — the
 // arena stays valid and the next cell allocates fresh.
 
-// Arena holds the recyclable buffers of at most one finished machine.
+// Arena holds the recyclable state of at most one finished machine.
 // The zero value is an empty, usable arena.
 type Arena struct {
+	// cfg is the normalized configuration of the machine that donated
+	// the state below.
+	cfg        Config
 	mem        *isa.Memory
 	physVal    []int64
 	ready      rename.ReadySet
+	freeList   *rename.FreeList
+	ckpts      *rename.Checkpoints
+	ckptRAS    []*bpred.RAS
+	btb        *bpred.BTB
+	ctxAlloc   *ctxtag.Allocator
+	live       []*path
+	pred       bpred.Predictor
+	conf       confidence.Estimator
 	winBuf     []*entry
 	soa        soaState
 	ring       [][]*entry
@@ -45,20 +67,33 @@ type Arena struct {
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
 
-// Recycle donates m's large buffers to a for the next NewWithArena call.
+// Recycle donates m's buffers and tables to a for the next NewWithArena
+// call.
 // The machine must be finished (halted or abandoned after an error you
 // do not intend to inspect further) and must not be used again: its
 // internal state is gutted to make accidental reuse fail loudly.
 // Recycling a machine that returned an error is safe for the arena —
-// every donated buffer is fully reset when drawn out — but callers
+// everything donated is fully reset when drawn out — but callers
 // typically skip it to keep the error state inspectable.
 func (m *Machine) Recycle(a *Arena) {
 	if a == nil {
 		return
 	}
+	a.cfg = m.cfg
 	a.mem = m.mem
 	a.physVal = m.physVal
 	a.ready = m.physReady
+	a.freeList = m.freeList
+	a.ckpts = m.ckpts
+	a.ckptRAS = m.ckptRAS
+	a.btb = m.btb
+	a.ctxAlloc = m.ctxAlloc
+	a.live = m.live
+	a.pred = nil
+	if e, ok := bpred.Lookup(string(m.cfg.Predictor.Kind)); ok && !e.KeepsEnv {
+		a.pred = m.pred
+	}
+	a.conf = m.conf
 	a.winBuf = m.winBuf
 	a.soa = m.soa
 	a.ring = m.ring
@@ -76,6 +111,13 @@ func (m *Machine) Recycle(a *Arena) {
 	m.mem = nil
 	m.physVal = nil
 	m.physReady = rename.ReadySet{}
+	m.freeList = nil
+	m.ckpts = nil
+	m.ckptRAS = nil
+	m.btb = nil
+	m.ctxAlloc = nil
+	m.pred = nil
+	m.conf = nil
 	m.winBuf = nil
 	m.window = nil
 	m.soa = soaState{}
@@ -99,6 +141,106 @@ func (a *Arena) takeMemory(prog *isa.Program) *isa.Memory {
 	}
 	mem.Reset(prog)
 	return mem
+}
+
+// takeFreeList draws the arena's free list reset to total registers, of
+// which the first reserved are allocated, or builds one.
+func (a *Arena) takeFreeList(total, reserved int) *rename.FreeList {
+	fl := a.freeList
+	a.freeList = nil
+	if fl == nil {
+		return rename.NewFreeList(total, reserved)
+	}
+	fl.Reset(total, reserved)
+	return fl
+}
+
+// takeCheckpoints draws the arena's checkpoint pool reset to n free
+// slots, or builds one.
+func (a *Arena) takeCheckpoints(n int) *rename.Checkpoints {
+	c := a.ckpts
+	a.ckpts = nil
+	if c == nil {
+		return rename.NewCheckpoints(n)
+	}
+	c.Reset(n)
+	return c
+}
+
+// takeCkptRAS draws an n-slot table of checkpoint RAS snapshots, each
+// depth deep when withRAS is set. Without it the slots are unused and
+// keep whatever snapshots they hold for a later machine. A kept
+// snapshot's contents are stale: rename overwrites a snapshot before a
+// recovery reads it.
+func (a *Arena) takeCkptRAS(n, depth int, withRAS bool) []*bpred.RAS {
+	s := a.ckptRAS
+	a.ckptRAS = nil
+	s = slices.Grow(s[:0], n)[:n]
+	for i := range s {
+		if withRAS && (s[i] == nil || s[i].Depth() != depth) {
+			s[i] = bpred.NewRAS(depth)
+		}
+	}
+	return s
+}
+
+// takeBTB draws the arena's BTB, emptied, when it has 2^bits entries, or
+// builds one.
+func (a *Arena) takeBTB(bits int) *bpred.BTB {
+	b := a.btb
+	a.btb = nil
+	if b == nil || a.cfg.BTBBits != bits {
+		return bpred.NewBTB(bits)
+	}
+	b.Reset()
+	return b
+}
+
+// takeCtxAlloc draws the arena's CTX history-position allocator, with
+// every position free, when it manages width positions, or builds one.
+func (a *Arena) takeCtxAlloc(width int) *ctxtag.Allocator {
+	c := a.ctxAlloc
+	a.ctxAlloc = nil
+	if c == nil || c.Width() != width {
+		return ctxtag.NewAllocator(width)
+	}
+	c.Reset()
+	return c
+}
+
+// takeLive draws an empty live-path list with room for n paths.
+func (a *Arena) takeLive(n int) []*path {
+	s := a.live
+	a.live = nil
+	if cap(s) < n {
+		return make([]*path, 0, n)
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// takePredictor draws the arena's predictor, reset, when it was built
+// for spec's kind and parameters; otherwise it returns nil.
+func (a *Arena) takePredictor(spec PredictorSpec) bpred.Predictor {
+	p := a.pred
+	a.pred = nil
+	if p == nil || a.cfg.Predictor.Kind != spec.Kind || !maps.Equal(a.cfg.Predictor.Params, spec.Params) {
+		return nil
+	}
+	p.Reset()
+	return p
+}
+
+// takeEstimator draws the arena's confidence estimator, reset, when it
+// was built for spec; otherwise it returns nil.
+func (a *Arena) takeEstimator(spec confidence.Spec) confidence.Estimator {
+	e := a.conf
+	a.conf = nil
+	if e == nil || !a.cfg.Confidence.Equal(spec) {
+		return nil
+	}
+	e.Reset()
+	return e
 }
 
 // takeI64 draws an n-length zeroed []int64 from buf, or allocates one.

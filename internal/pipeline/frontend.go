@@ -33,7 +33,11 @@ func (m *Machine) rename() {
 			m.freeLatch(latch)
 		}
 	} else if consumed > 0 {
-		m.frontEnd[len(m.frontEnd)-1] = latch[consumed:]
+		// Move the rest to the front rather than keep latch[consumed:],
+		// whose shrunken capacity the pool would hand back to fetch.
+		n := copy(latch, latch[consumed:])
+		clear(latch[n:])
+		m.frontEnd[len(m.frontEnd)-1] = latch[:n]
 	}
 }
 

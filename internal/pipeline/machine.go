@@ -289,10 +289,12 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	return NewWithArena(prog, cfg, nil)
 }
 
-// NewWithArena is New drawing the machine's large allocations — memory
-// page table and private pages, register file, window backing array and
-// SoA scheduler state, completion ring, predecode table, CTX slots,
-// object pools — from a (see arena.go).
+// NewWithArena is New drawing the machine's allocations — memory page
+// table and private pages, register file and free list, checkpoints and
+// their RAS snapshots, window backing array and SoA scheduler state,
+// completion ring, predecode table, CTX slots and allocator, live-path
+// list, BTB, object pools, and a predictor and estimator of the same
+// kind and parameters — from a (see arena.go).
 // A nil arena behaves exactly like New. The caller donates the buffers
 // back with Machine.Recycle once the simulation is finished; results are
 // bit-identical with or without an arena.
@@ -330,12 +332,12 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		physVal:   takeI64(&a.physVal, cfg.PhysRegs+1),
 		physReady: rename.ReuseReadySet(a.ready, cfg.PhysRegs+1),
 		unreadReg: rename.PhysReg(cfg.PhysRegs),
-		freeList:  rename.NewFreeList(cfg.PhysRegs, isa.NumRegs),
-		ckpts:     rename.NewCheckpoints(cfg.Checkpoints),
+		freeList:  a.takeFreeList(cfg.PhysRegs, isa.NumRegs),
+		ckpts:     a.takeCheckpoints(cfg.Checkpoints),
 		trace:     trace,
 		interp:    ref,
 		refCount:  ref.InstCount,
-		ctxAlloc:  ctxtag.NewAllocator(cfg.CtxHistoryWidth),
+		ctxAlloc:  a.takeCtxAlloc(cfg.CtxHistoryWidth),
 		frontEnd:  a.takeFrontEnd(cfg.FrontEndStages),
 	}
 	a.ready = rename.ReadySet{}
@@ -346,7 +348,7 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		}
 	}
 	m.slots = a.takeSlots(cfg.MaxPaths)
-	m.live = make([]*path, 0, cfg.MaxPaths)
+	m.live = a.takeLive(cfg.MaxPaths)
 	if m.hasCallRet {
 		for i := range m.slots {
 			if r := m.slots[i].path.ras; r == nil || r.Depth() != cfg.RASDepth {
@@ -384,30 +386,30 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	// here with no pipeline edits. The oracle kind is the one
 	// pipeline-special case — its registry factory supplies a null pattern
 	// table and the machine predicts from the reference trace instead.
-	m.pred, err = bpred.Build(string(cfg.Predictor.Kind), bpred.Params(cfg.Predictor.Params), bpred.Env{
-		TargetOf: func(pc int) int { return int(prog.Code[pc].Target) },
-	})
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: predictor %q: %w", string(cfg.Predictor.Kind), err)
+	// An arena's predictor and estimator serve a config of the same
+	// normalized kind and parameters, reset.
+	if m.pred = a.takePredictor(cfg.Predictor); m.pred == nil {
+		m.pred, err = bpred.Build(string(cfg.Predictor.Kind), bpred.Params(cfg.Predictor.Params), bpred.Env{
+			TargetOf: func(pc int) int { return int(prog.Code[pc].Target) },
+		})
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: predictor %q: %w", string(cfg.Predictor.Kind), err)
+		}
 	}
 	m.oracle = cfg.Predictor.Kind == PredOracle
-	m.conf, err = confidence.Build(cfg.Confidence)
-	if err != nil {
-		return nil, err
+	if m.conf = a.takeEstimator(cfg.Confidence); m.conf == nil {
+		if m.conf, err = confidence.Build(cfg.Confidence); err != nil {
+			return nil, err
+		}
 	}
 	if err := m.buildPolicy(); err != nil {
 		return nil, err
 	}
-	m.btb = bpred.NewBTB(cfg.BTBBits)
+	m.btb = a.takeBTB(cfg.BTBBits)
 	// Checkpoint RAS snapshots are preallocated per slot and overwritten in
 	// place (CopyFrom) when a branch renames, so the per-branch snapshot
 	// never allocates in steady state.
-	m.ckptRAS = make([]*bpred.RAS, cfg.Checkpoints)
-	if m.hasCallRet {
-		for i := range m.ckptRAS {
-			m.ckptRAS[i] = bpred.NewRAS(cfg.RASDepth)
-		}
-	}
+	m.ckptRAS = a.takeCkptRAS(cfg.Checkpoints, cfg.RASDepth, m.hasCallRet)
 
 	// Predecode the program once; the fetch/rename/issue stages index this
 	// table instead of re-deriving classification from the opcode.

@@ -10,6 +10,7 @@ package rename
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -60,17 +61,27 @@ type FreeList struct {
 // registers, of which the first reserved (= isa.NumRegs) are pre-allocated
 // to the identity map and therefore not initially free.
 func NewFreeList(total, reserved int) *FreeList {
+	fl := new(FreeList)
+	fl.Reset(total, reserved)
+	return fl
+}
+
+// Reset returns fl to the state NewFreeList(total, reserved) builds,
+// reusing its storage.
+func (fl *FreeList) Reset(total, reserved int) {
 	if total <= reserved {
 		panic(fmt.Sprintf("rename: %d physical registers cannot cover %d reserved", total, reserved))
 	}
-	fl := &FreeList{total: total, inUse: make([]bool, total)}
+	fl.total = total
+	fl.inUse = slices.Grow(fl.inUse[:0], total)[:total]
+	clear(fl.inUse)
+	fl.free = slices.Grow(fl.free[:0], total-reserved)
 	for p := total - 1; p >= reserved; p-- {
 		fl.free = append(fl.free, PhysReg(p))
 	}
 	for p := 0; p < reserved; p++ {
 		fl.inUse[PhysReg(p)] = true
 	}
-	return fl
 }
 
 // Alloc takes a physical register off the free list. ok is false when the
@@ -171,14 +182,23 @@ type checkpointSlot struct {
 
 // NewCheckpoints creates a pool with n slots.
 func NewCheckpoints(n int) *Checkpoints {
+	c := new(Checkpoints)
+	c.Reset(n)
+	return c
+}
+
+// Reset returns c to the state NewCheckpoints(n) builds, every slot
+// free, reusing its storage.
+func (c *Checkpoints) Reset(n int) {
 	if n < 1 {
 		panic("rename: need at least one checkpoint")
 	}
-	c := &Checkpoints{slots: make([]checkpointSlot, n)}
+	c.slots = slices.Grow(c.slots[:0], n)[:n]
+	clear(c.slots)
+	c.free = slices.Grow(c.free[:0], n)
 	for i := n - 1; i >= 0; i-- {
 		c.free = append(c.free, i)
 	}
-	return c
 }
 
 // Take captures a checkpoint of mp and the global history ghr, returning a

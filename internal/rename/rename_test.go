@@ -2,6 +2,7 @@ package rename
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -284,5 +285,35 @@ func TestCheckpointSnapshotProperty(t *testing.T) {
 			}
 		}
 		cp.Release(id)
+	}
+}
+
+// TestResetMatchesNew: a free list and a checkpoint pool that were used
+// and then reset, to a smaller or a larger size, are exactly what the
+// constructors build, so an arena can hand them to the next machine.
+func TestResetMatchesNew(t *testing.T) {
+	fl := NewFreeList(96, isa.NumRegs)
+	c := NewCheckpoints(16)
+	var mp Map
+	for i := 0; i < 40; i++ {
+		p, _ := fl.Alloc()
+		if i%3 == 0 {
+			fl.Free(p)
+		}
+		if id, ok := c.Take(&mp, uint64(i)); ok && i%2 == 0 {
+			c.Release(id)
+		}
+	}
+	for _, size := range []int{64, 200, 96} {
+		fl.Reset(size, isa.NumRegs)
+		if want := NewFreeList(size, isa.NumRegs); !reflect.DeepEqual(fl, want) {
+			t.Errorf("free list reset to %d registers differs from a new one", size)
+		}
+		c.Reset(size / 4)
+		if want := NewCheckpoints(size / 4); !reflect.DeepEqual(c, want) {
+			t.Errorf("checkpoints reset to %d slots differ from new ones", size/4)
+		}
+		fl.Alloc()
+		c.Take(&mp, 7)
 	}
 }

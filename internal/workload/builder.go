@@ -23,7 +23,8 @@ type Builder struct {
 	labels     map[string]int
 	fixups     []fixup
 	dataFixups []dataFixup
-	data       []int64
+	packed     []uint64 // the packed region: the lowest data words (AllocPacked)
+	data       []int64  // the data words above the packed region
 	errs       []error
 }
 
@@ -114,6 +115,27 @@ func (b *Builder) Halt() { b.Emit(isa.Inst{Op: isa.Halt}) }
 // Nop emits a no-op.
 func (b *Builder) Nop() { b.Emit(isa.Inst{Op: isa.Nop}) }
 
+// AllocPacked appends n zero words to the packed region
+// (isa.Program.Packed), which lies below every other data word, and
+// returns the word address of the first one together with the elements
+// that hold them, which the caller fills in place: word w of the
+// allocation is bits isa.PackedBits*(w%isa.PackedPerWord) up of element
+// w/isa.PackedPerWord. n must be a whole number of pages, and no Alloc
+// or DataLabel may come before it. The slice aliases the region only
+// until the next AllocPacked.
+func (b *Builder) AllocPacked(n int) (int64, []uint64) {
+	if len(b.data) > 0 || n%isa.PageWords != 0 {
+		b.errs = append(b.errs, fmt.Errorf("workload: AllocPacked(%d): packed words come in whole pages, before any other data", n))
+	}
+	at, m := len(b.packed), (n+isa.PackedPerWord-1)/isa.PackedPerWord
+	b.packed = slices.Grow(b.packed, m)[:at+m]
+	return int64(at * isa.PackedPerWord), b.packed[at:]
+}
+
+// dataBase is the word address of the first data word above the packed
+// region.
+func (b *Builder) dataBase() int { return len(b.packed) * isa.PackedPerWord }
+
 // Alloc appends n zero words to the data segment and returns the word
 // address of the first one together with the words themselves, which the
 // caller fills in place. The slice aliases the segment only until the
@@ -121,16 +143,16 @@ func (b *Builder) Nop() { b.Emit(isa.Inst{Op: isa.Nop}) }
 // nothing is allocated, and the words are zero because the segment only
 // grows: no word past its length has been written.
 func (b *Builder) Alloc(n int) (int64, []int64) {
-	addr := len(b.data)
-	b.data = slices.Grow(b.data, n)[:addr+n]
-	return int64(addr), b.data[addr:]
+	at := len(b.data)
+	b.data = slices.Grow(b.data, n)[:at+n]
+	return int64(b.dataBase() + at), b.data[at:]
 }
 
 // DataLabel appends a data word that will hold the instruction address of
 // label once Build resolves it — the building block for switch jump
 // tables. It returns the word's address.
 func (b *Builder) DataLabel(label string) int64 {
-	addr := int64(len(b.data))
+	addr := int64(b.dataBase() + len(b.data))
 	b.dataFixups = append(b.dataFixups, dataFixup{idx: len(b.data), label: label})
 	b.data = append(b.data, 0)
 	return addr
@@ -161,12 +183,13 @@ func (b *Builder) Build() (*isa.Program, error) {
 		b.data[f.idx] = int64(target)
 	}
 	memWords := 1
-	for memWords < len(b.data)+1024 {
+	for memWords < b.dataBase()+len(b.data)+1024 {
 		memWords <<= 1
 	}
 	p := &isa.Program{
 		Name:     b.name,
 		Code:     b.code,
+		Packed:   b.packed,
 		DataInit: b.data,
 		MemWords: memWords,
 	}

@@ -120,6 +120,48 @@ func TestBuilderDataPlacementAndMemorySizing(t *testing.T) {
 	}
 }
 
+func TestBuilderPackedRegionLiesBelowData(t *testing.T) {
+	b := NewBuilder("packed")
+	a0, p0 := b.AllocPacked(isa.PageWords)
+	p0[1] = 0xf << isa.PackedBits // word 17
+	a1, p1 := b.AllocPacked(isa.PageWords)
+	p1[0] = 3 // word PageWords
+	a2, w2 := b.Alloc(2)
+	w2[1] = 7
+	a3 := b.DataLabel("end")
+	b.Label("end")
+	b.Halt()
+	if a0 != 0 || a1 != isa.PageWords || a2 != 2*isa.PageWords || a3 != 2*isa.PageWords+2 {
+		t.Errorf("addresses %d, %d, %d, %d", a0, a1, a2, a3)
+	}
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.MemWords < 2*isa.PageWords+3+1024 {
+		t.Errorf("memory sizing: %d words for %d packed and %d data", p.MemWords, p.PackedWords(), len(p.DataInit))
+	}
+	m := isa.NewMemory(p)
+	for a, want := range map[int64]int64{16: 0, 17: 15, 18: 0, isa.PageWords: 3, a2 + 1: 7, a3: 0} {
+		if got := m.Load(int(a)); got != want {
+			t.Errorf("word %d = %d, want %d", a, got, want)
+		}
+	}
+	late := NewBuilder("late")
+	late.Alloc(1)
+	late.AllocPacked(isa.PageWords)
+	late.Halt()
+	if _, err := late.Build(); err == nil {
+		t.Error("AllocPacked after Alloc should fail: the packed region lies below the data")
+	}
+	ragged := NewBuilder("ragged")
+	ragged.AllocPacked(isa.PackedPerWord)
+	ragged.Halt()
+	if _, err := ragged.Build(); err == nil {
+		t.Error("AllocPacked of part of a page should fail")
+	}
+}
+
 func TestBuilderPC(t *testing.T) {
 	b := NewBuilder("pc")
 	if b.PC() != 0 {

@@ -207,37 +207,40 @@ func checkSpec(spec Spec) error {
 }
 
 // dataWords is the size of build's data segment: one stream per
-// Bernoulli or switch branch, the scratch area, and each switch's jump
-// table.
-func dataWords(spec Spec) int {
-	n := scratchWords
+// Bernoulli or switch branch, packed, then the scratch area and each
+// switch's jump table.
+func dataWords(spec Spec) (streams, rest int) {
+	rest = scratchWords
 	for _, br := range spec.Branches {
 		switch br.Kind {
 		case KindBernoulli:
-			n += streamWords
+			streams += streamWords
 		case KindSwitch:
-			n += streamWords + br.Fanout
+			streams += streamWords
+			rest += br.Fanout
 		}
 	}
-	return n
+	return streams, rest
 }
 
 // build emits spec's program with the outer-loop count pilotIterations,
 // set by the prologue's first instruction.
 func build(spec Spec) (*isa.Program, error) {
 	b := NewBuilder(spec.Name)
-	b.data = make([]int64, 0, dataWords(spec))
+	streams, rest := dataWords(spec)
+	b.packed = make([]uint64, 0, streams/isa.PackedPerWord)
+	b.data = make([]int64, 0, rest)
 	rng := rand.New(rand.NewSource(spec.Seed))
 
-	// Data segment: one stream per data-driven branch, drawn in place,
-	// then the scratch area. Switch jump tables follow, appended as the
-	// code that indexes them is emitted.
+	// Data segment: one stream per data-driven branch, drawn in place
+	// into the packed region, then the scratch area. Switch jump tables
+	// follow, appended as the code that indexes them is emitted.
 	streamBase := make([]int64, len(spec.Branches))
 	for i, br := range spec.Branches {
 		switch br.Kind {
 		case KindBernoulli:
-			base, words := b.Alloc(streamWords)
-			for w := range words {
+			base, words := b.AllocPacked(streamWords)
+			for w := range streamWords {
 				// Phased branches alternate between Bias and Bias2 every
 				// PhaseLen positions; exactly one draw per word either way,
 				// so adding a phase never perturbs the other branches'
@@ -246,20 +249,20 @@ func build(spec Spec) (*isa.Program, error) {
 				if br.PhaseLen > 0 && (w/br.PhaseLen)%2 == 1 {
 					bias = br.Bias2
 				}
-				// Store the draw unconditionally: the compiler computes
+				// Pack the draw unconditionally: the compiler computes
 				// the bit with a compare-and-set, where a guarded store
 				// is a branch that mispredicts on up to half the words.
-				var bit int64
+				var bit uint64
 				if rng.Float64() < bias {
 					bit = 1
 				}
-				words[w] = bit
+				words[w/isa.PackedPerWord] |= bit << (w % isa.PackedPerWord * isa.PackedBits)
 			}
 			streamBase[i] = base
 		case KindSwitch:
-			base, words := b.Alloc(streamWords)
-			for w := range words {
-				words[w] = int64(rng.Intn(br.Fanout))
+			base, words := b.AllocPacked(streamWords)
+			for w := range streamWords {
+				words[w/isa.PackedPerWord] |= uint64(rng.Intn(br.Fanout)) << (w % isa.PackedPerWord * isa.PackedBits)
 			}
 			streamBase[i] = base
 		}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -71,6 +72,9 @@ func TestGenerateDeterministic(t *testing.T) {
 		if p1.Code[i] != p2.Code[i] {
 			t.Fatalf("instruction %d differs", i)
 		}
+	}
+	if !slices.Equal(p1.Packed, p2.Packed) {
+		t.Fatal("non-deterministic packed streams")
 	}
 	for i := range p1.DataInit {
 		if p1.DataInit[i] != p2.DataInit[i] {

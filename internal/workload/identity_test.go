@@ -10,7 +10,7 @@ import (
 )
 
 // programIdentity pins every generated program word for word: per
-// workload name, the sha256 over (Name, MemWords, DataInit, Code) of its
+// workload name, the sha256 over (Name, MemWords, data, Code) of its
 // programs at identityLengths × identitySeeds, in that order. A generator
 // edit that moves one instruction or data word fails here in seconds
 // instead of in a full experiments regeneration. The values were recorded
@@ -39,13 +39,19 @@ var identityLengths = []uint64{1_000, 40_000, 400_000}
 var identitySeeds = []int64{0, 1000, 2000, 3000, 4000, 5000}
 
 // appendIdentity appends p's identity fields to buf in a fixed little-endian
-// layout with length prefixes, so no two programs share an encoding.
+// layout with length prefixes, so no two programs share an encoding. The
+// data is the image memory holds at reset, the packed region's words and
+// then DataInit's, under one length prefix: the pins were recorded when
+// every data word was in DataInit.
 func appendIdentity(buf []byte, p *isa.Program) []byte {
 	le := binary.LittleEndian
 	buf = le.AppendUint64(buf, uint64(len(p.Name)))
 	buf = append(buf, p.Name...)
 	buf = le.AppendUint64(buf, uint64(p.MemWords))
-	buf = le.AppendUint64(buf, uint64(len(p.DataInit)))
+	buf = le.AppendUint64(buf, uint64(p.PackedWords()+len(p.DataInit)))
+	for a := range p.PackedWords() {
+		buf = le.AppendUint64(buf, uint64(p.PackedWord(a)))
+	}
 	for _, w := range p.DataInit {
 		buf = le.AppendUint64(buf, uint64(w))
 	}
