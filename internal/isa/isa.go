@@ -15,10 +15,7 @@
 // micro-architecture simulator needs.
 package isa
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // NumRegs is the number of logical integer registers. Register 0 reads as
 // zero and writes to it are discarded.
@@ -102,27 +99,21 @@ type Inst struct {
 // memory, and the memory size in 64-bit words (must be a power of two).
 // Memory at reset holds the packed region, then DataInit, then zeros.
 //
-// A Program is immutable once built: nothing writes its Code, Packed or
-// DataInit after construction. The reference-run cache keys on the
-// pointer, and every Memory of the program reads DataInit's full pages
-// and the packed region's expanded pages in place, so a write to either
-// would change every machine simulating the program. Expanding a packed
-// page fills a cache that all the program's memories share; no word of
-// memory changes.
+// A Program is immutable once built: nothing in it changes after
+// construction. The reference-run cache keys on the pointer, and every
+// Memory of the program reads Packed and DataInit's full pages in place,
+// so a write to either would change every machine simulating the
+// program.
 type Program struct {
 	Name string
 	Code []Inst
 	// Packed holds the lowest PackedWords() words of memory at reset,
 	// PackedBits each: word a is bits PackedBits*(a%PackedPerWord) up of
-	// Packed[a/PackedPerWord]. It covers whole pages, each expanded to
-	// 64-bit words once, when a memory first reads or copies it.
+	// Packed[a/PackedPerWord]. It covers whole pages, read in place; a
+	// memory decodes a page only when a store copies it.
 	Packed   []uint64
 	DataInit []int64 // the words after the packed region at reset
 	MemWords int     // power of two; total memory size in words
-
-	// expanded is the packed region's page cache, made on first use: one
-	// pointer per page, nil until the page is expanded (memory.go).
-	expanded atomic.Pointer[[]atomic.Pointer[page]]
 }
 
 // The packed region stores PackedBits per word, PackedPerWord words to

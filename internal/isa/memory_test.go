@@ -170,50 +170,62 @@ func TestMemorySmallerThanOnePage(t *testing.T) {
 // FuzzMemory drives random Reset, Load and Store sequences on two
 // memories against flat []int64 models. Every Load must match its
 // model, and wherever the two memories are the same size Diff must
-// return the first address at which the models differ. DataInit and the
-// zero page must never change.
+// return the first address at which the models differ. The packed
+// words, DataInit and the zero page must never change.
 //
 // Input layout: byte 0 picks the memory size, bytes 1-6 the DataInit
-// lengths of three programs (the third's memory is twice as large), and
-// byte 7 seeds their contents. 4-byte ops follow: op, address (2 bytes),
-// value or program.
+// lengths of three programs (the third's memory is twice as large), byte
+// 7 seeds their contents, and byte 8 gives each program 0-3 whole packed
+// pages (two bits a program), as many as fit, whose words are the
+// input's 4-bit halves in turn, starting one half later for each
+// program. 4-byte ops follow: op, address (2 bytes), value or program.
 func FuzzMemory(f *testing.F) {
 	f.Add([]byte{10, 0x40, 0x02, 0x80, 0x00, 0x10, 0x02, 7, 2, 0, 5, 9, 1, 1, 3, 4, 0, 2, 2, 6, 3, 1, 0, 0})
 	f.Add([]byte{2, 3, 0, 1, 0, 1, 0, 1, 2, 0, 1, 5, 3, 0, 1, 5, 0, 1, 0, 0})
 	f.Add([]byte{12, 0xff, 0xff, 0, 0, 0xff, 0x1f, 3, 2, 0x10, 0x00, 0, 2, 0x0f, 0xff, 0, 1, 0, 0, 0, 0, 0, 0, 2})
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 3, 0, 0, 4})
+	f.Add([]byte{12, 0x10, 0, 0x20, 0, 0x30, 0, 5, 0x39,
+		2, 0x00, 0x01, 3, 5, 0x58, 0x02, 0, 1, 0, 0, 0, 3, 0x00, 0x01, 3, 0, 0, 0, 1, 2, 0xbc, 0x02, 0xff})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		if len(in) < 8 {
+		if len(in) < 9 {
 			return
 		}
 		words := 1 << (in[0] % 13) // 1 to 4096 words: up to 8 pages
 		rng := rand.New(rand.NewSource(int64(in[7])))
 		progs := make([]*Program, 3)
+		images := make([][]int64, len(progs)) // each program's memory at reset
 		for i := range progs {
 			size := words
 			if i == 2 {
 				size *= 2
 			}
-			n := int(binary.LittleEndian.Uint16(in[1+2*i:])) % (size + 1)
-			data := make([]int64, n)
+			image := make([]int64, size)
+			packed := make([]uint64, min(int(in[8]>>(2*i)&3), size/PageWords)*packedPerPage)
+			for a := range len(packed) * PackedPerWord {
+				h := a + i
+				image[a] = int64(in[h/2%len(in)] >> (4 * (h % 2)) & 15)
+				packed[a/PackedPerWord] |= uint64(image[a]) << (PackedBits * (a % PackedPerWord))
+			}
+			base := len(packed) * PackedPerWord
+			data := make([]int64, int(binary.LittleEndian.Uint16(in[1+2*i:]))%(size-base+1))
 			for j := range data {
 				if rng.Intn(4) != 0 {
 					data[j] = rng.Int63n(9) - 4
 				}
 			}
-			progs[i] = &Program{Code: []Inst{{Op: Halt}}, DataInit: data, MemWords: size}
+			copy(image[base:], data)
+			progs[i] = &Program{Code: []Inst{{Op: Halt}}, Packed: packed, DataInit: data, MemWords: size}
+			if err := progs[i].Validate(); err != nil {
+				t.Fatal(err)
+			}
+			images[i] = image
 		}
-		pristine := make([][]int64, len(progs))
+		pristine := make([]*Program, len(progs))
 		for i, p := range progs {
-			pristine[i] = slices.Clone(p.DataInit)
-		}
-		reset := func(p *Program) []int64 {
-			flat := make([]int64, p.MemWords)
-			copy(flat, p.DataInit)
-			return flat
+			pristine[i] = &Program{Packed: slices.Clone(p.Packed), DataInit: slices.Clone(p.DataInit)}
 		}
 		mems := []*Memory{NewMemory(progs[0]), NewMemory(progs[1])}
-		flats := [][]int64{reset(progs[0]), reset(progs[1])}
+		flats := [][]int64{slices.Clone(images[0]), slices.Clone(images[1])}
 		check := func() {
 			t.Helper()
 			if len(flats[0]) != len(flats[1]) {
@@ -231,15 +243,15 @@ func FuzzMemory(f *testing.F) {
 			}
 		}
 		check()
-		for ops := in[8:]; len(ops) >= 4; ops = ops[4:] {
+		for ops := in[9:]; len(ops) >= 4; ops = ops[4:] {
 			side := int(ops[0] & 1)
 			m, flat := mems[side], flats[side]
 			a := int(binary.LittleEndian.Uint16(ops[1:])) % len(flat)
 			switch (ops[0] >> 1) % 3 {
 			case 0:
-				p := progs[int(ops[3])%len(progs)]
-				m.Reset(p)
-				flats[side] = reset(p)
+				i := int(ops[3]) % len(progs)
+				m.Reset(progs[i])
+				flats[side] = slices.Clone(images[i])
 			case 1:
 				v := int64(int8(ops[3])) % 5
 				m.Store(a, v)
@@ -259,8 +271,8 @@ func FuzzMemory(f *testing.F) {
 			}
 		}
 		for i, p := range progs {
-			if !slices.Equal(p.DataInit, pristine[i]) {
-				t.Fatalf("program %d's DataInit was written", i)
+			if !slices.Equal(p.Packed, pristine[i].Packed) || !slices.Equal(p.DataInit, pristine[i].DataInit) {
+				t.Fatalf("program %d's packed words or DataInit were written", i)
 			}
 		}
 		if !zeroPageClean() {
@@ -302,11 +314,10 @@ func TestMemoryLoadsPackedWords(t *testing.T) {
 			t.Fatalf("word %d = %d, want %d", a, got, want)
 		}
 	}
-	if got := ExpandedPages(p); got != 3 {
-		t.Errorf("%d packed pages expanded after reading all 3", got)
-	}
-	if again := NewMemory(p); again.pages[1] != p.packedPage(1) {
-		t.Error("a memory reset after expansion should map the expanded page")
+	for i := range 3 {
+		if m.pages[i] != nil {
+			t.Fatalf("Load mapped packed page %d", i)
+		}
 	}
 }
 
@@ -315,13 +326,13 @@ func TestMemoryStoreCopiesUnexpandedPackedPage(t *testing.T) {
 	packed := slices.Clone(p.Packed)
 	m := NewMemory(p)
 	if m.pages[0] != nil || m.pages[1] != nil {
-		t.Fatal("packed pages should stay unmapped until expanded")
+		t.Fatal("packed pages should stay unmapped until stored to")
 	}
 	a := PageWords + 9
 	want := p.PackedWord(a + 1)
 	m.Store(a, -3)
-	if !m.own[1] || m.own[0] || ExpandedPages(p) != 1 {
-		t.Fatalf("own = %v, %d pages expanded; want page 1 copied from its expansion", m.own, ExpandedPages(p))
+	if !m.own[1] || m.own[0] || m.pages[0] != nil {
+		t.Fatalf("own = %v; want page 1 decoded into a private copy, page 0 unmapped", m.own)
 	}
 	if got := m.Load(a + 1); got != want {
 		t.Errorf("copied page lost its packed word: %d, want %d", got, want)
@@ -330,7 +341,7 @@ func TestMemoryStoreCopiesUnexpandedPackedPage(t *testing.T) {
 		t.Errorf("Load after Store = %d, want -3", got)
 	}
 	if got := NewMemory(p).Load(a); got != p.PackedWord(a) {
-		t.Errorf("Store wrote the expanded page: another memory reads %d, want %d", got, p.PackedWord(a))
+		t.Errorf("Store wrote another memory's page: it reads %d, want %d", got, p.PackedWord(a))
 	}
 	if !slices.Equal(p.Packed, packed) {
 		t.Error("Store wrote Packed")
@@ -340,10 +351,11 @@ func TestMemoryStoreCopiesUnexpandedPackedPage(t *testing.T) {
 func TestMemoryDiffAcrossPackedExpansion(t *testing.T) {
 	p := packedProgram(4, 0, 4*PageWords)
 	before := NewMemory(p) // maps no packed page
-	before.Load(2 * PageWords)
-	after := NewMemory(p) // maps page 2, which before expanded
+	after := NewMemory(p)  // holds page 2 decoded, with its words unchanged
+	a := 2*PageWords + 100
+	after.Store(a, p.PackedWord(a))
 	if after.pages[2] == nil || before.pages[2] != nil {
-		t.Fatal("only the memory reset after the expansion should map it")
+		t.Fatal("only the memory stored to should map the packed page")
 	}
 	if got := before.Diff(after); got != -1 {
 		t.Errorf("Diff = %d between equal memories", got)
@@ -351,7 +363,6 @@ func TestMemoryDiffAcrossPackedExpansion(t *testing.T) {
 	if got := after.Diff(before); got != -1 {
 		t.Errorf("Diff = %d between equal memories", got)
 	}
-	a := 2*PageWords + 100
 	after.Store(a, p.PackedWord(a)+1)
 	if got := before.Diff(after); got != a {
 		t.Errorf("Diff = %d, want %d", got, a)
@@ -359,9 +370,6 @@ func TestMemoryDiffAcrossPackedExpansion(t *testing.T) {
 	before.Store(a, p.PackedWord(a)+1)
 	if got := after.Diff(before); got != -1 {
 		t.Errorf("Diff = %d after the same store on both sides", got)
-	}
-	if got := ExpandedPages(p); got != 1 {
-		t.Errorf("%d pages expanded, want page 2 only", got)
 	}
 }
 
@@ -371,18 +379,17 @@ func TestMemoryDiffLeavesUnmappedPackedPagesUnexpanded(t *testing.T) {
 	if got := m.Diff(o); got != -1 {
 		t.Fatalf("Diff = %d between fresh memories", got)
 	}
-	if got := ExpandedPages(p); got != 0 {
-		t.Fatalf("Diff of fresh memories expanded %d pages", got)
-	}
 	a := 3*PageWords + 1
 	o.Store(a, 99)
 	if got := m.Diff(o); got != a {
 		t.Errorf("Diff = %d, want %d", got, a)
 	}
-	if got := ExpandedPages(p); got != 1 {
-		t.Errorf("%d pages expanded, want only the stored page", got)
+	for i := range 4 {
+		if m.pages[i] != nil || i != 3 && o.pages[i] != nil {
+			t.Fatalf("Diff mapped packed page %d", i)
+		}
 	}
-	// Nil pages of two programs are not the same page: Diff expands both.
+	// Nil pages of two programs are not the same page: Diff reads both.
 	q := packedProgram(4, 10, 8*PageWords)
 	q.Packed[packedPerPage] ^= 1 // word PageWords
 	if got := NewMemory(q).Diff(m); got != PageWords {

@@ -21,13 +21,17 @@ func (c *commitCollector) Event(ev pipeline.TraceEvent) {
 // freely (including forever), so every run is bounded.
 const fuzzMaxInsts = 3000
 
-// fuzzConfigs are the machine models every fuzz input runs under:
-// the monopath baseline, the paper's PolyPath SEE machine, fully eager
-// forking, and a deliberately tiny machine where structural pressure
-// (window, checkpoints, CTX tags, physical registers) is maximal. The
-// tiny machine runs under the per-cycle invariant auditor: its five CTX
-// slots are reused constantly, so every input also checks path identity,
-// entry recycling and the live-path list against the auditor's sweeps.
+// fuzzConfigs are the machine models every fuzz input runs under, in
+// order: a deliberately tiny machine where structural pressure (window,
+// checkpoints, CTX tags, physical registers) is maximal, a TAGE-predicted
+// SEE machine, fully eager forking, the monopath baseline, and the
+// paper's PolyPath SEE machine. The tiny machine runs under the
+// per-cycle invariant auditor: its five CTX slots are reused constantly,
+// so every input also checks path identity, entry recycling and the
+// live-path list against the auditor's sweeps. Each model is built from
+// the finished machine of the one before it (the last from the previous
+// input's), so a 16-entry window follows a 256-entry one and every input
+// also checks the arena's resets.
 func fuzzConfigs() []struct {
 	name string
 	cfg  pipeline.Config
@@ -76,11 +80,11 @@ func fuzzConfigs() []struct {
 		name string
 		cfg  pipeline.Config
 	}{
-		{"monopath", mono},
-		{"polypath-jrs", see},
+		{"tiny-machine", tiny},
 		{"polypath-tage", tage},
 		{"polypath-eager", eager},
-		{"tiny-machine", tiny},
+		{"monopath", mono},
+		{"polypath-jrs", see},
 	}
 	for i := range out {
 		out[i].cfg.MaxInsts = fuzzMaxInsts
@@ -93,7 +97,9 @@ func fuzzConfigs() []struct {
 // exactly the reference interpreter's instruction stream — same PCs, same
 // order, same cut — and retire with identical architectural state. A
 // divergence is a simulator bug by construction (the interpreter defines
-// the ISA), so any crasher this finds is a real correctness defect.
+// the ISA), so any crasher this finds is a real correctness defect. Every
+// machine is built on one arena per fuzz process and recycled into it
+// after its verified run.
 //
 // Run the seed corpus as part of go test, or explore with:
 //
@@ -111,6 +117,7 @@ func FuzzPipelineVsInterp(f *testing.F) {
 	// shapes the trace-synthesis pipeline actually produces.
 	f.Add(int64(896085974340049954), uint64(17820))
 	f.Add(int64(404520380316132651), uint64(28280))
+	arena := pipeline.NewArena()
 	f.Fuzz(func(t *testing.T, seed int64, n uint64) {
 		prog := progfuzz.FromSeed(seed, n)
 		if err := prog.Validate(); err != nil {
@@ -121,7 +128,7 @@ func FuzzPipelineVsInterp(f *testing.F) {
 			t.Fatalf("reference interpreter failed (seed=%d n=%d): %v", seed, n, err)
 		}
 		for _, c := range fuzzConfigs() {
-			m, err := pipeline.New(prog, c.cfg)
+			m, err := pipeline.NewWithArena(prog, c.cfg, arena)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -143,6 +150,7 @@ func FuzzPipelineVsInterp(f *testing.F) {
 						c.name, i, col.pcs[i], want[i], seed, n)
 				}
 			}
+			m.Recycle(arena)
 		}
 	})
 }

@@ -143,7 +143,8 @@ func (m *Machine) auditPaths() {
 
 	// Recompute each path's unresolved-control refcount from the window and
 	// the front end; a drifted count reclaims (or leaks) CTX slots.
-	pending := m.auditScratchInts(len(m.slots))
+	m.auditInts = resize(m.auditInts, len(m.slots))
+	pending := m.auditInts
 	count := func(e *entry) {
 		if !e.onLivePath() {
 			m.machineCheckf("ctx-refcount", e.pc, "unresolved control instruction on released path %d", e.path.id)
@@ -177,7 +178,8 @@ func (m *Machine) auditPaths() {
 // instruction must carry exactly its path's tag — the properties the store
 // buffer's path-ancestry forwarding filter and the kill buses rely on.
 func (m *Machine) auditCtxTags() {
-	owners := m.auditScratchInts(m.ctxAlloc.Width())
+	m.auditInts = resize(m.auditInts, m.ctxAlloc.Width())
+	owners := m.auditInts
 	divergences := 0
 	claim := func(pos, pc int) {
 		if pos < 0 || pos >= len(owners) {
@@ -291,7 +293,8 @@ func (m *Machine) auditTag(t ctxtag.Tag, pc int) {
 // checkpoint handle must name a distinct live slot, the pool's books must
 // balance, and every register a checkpoint could restore must be allocated.
 func (m *Machine) auditCheckpoints() {
-	held := m.auditScratchBools(m.ckpts.Capacity())
+	m.auditBools = resize(m.auditBools, m.ckpts.Capacity())
+	held := m.auditBools
 	n := 0
 	for _, e := range m.window {
 		if !e.hasCkpt {
@@ -319,29 +322,4 @@ func (m *Machine) auditCheckpoints() {
 			}
 		}
 	})
-}
-
-// auditScratchInts returns a zeroed int scratch slice of length n, reusing
-// the machine's audit buffer so sweeps allocate only on first use.
-func (m *Machine) auditScratchInts(n int) []int {
-	if cap(m.auditInts) < n {
-		m.auditInts = make([]int, n)
-	}
-	s := m.auditInts[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// auditScratchBools returns a zeroed bool scratch slice of length n.
-func (m *Machine) auditScratchBools(n int) []bool {
-	if cap(m.auditBools) < n {
-		m.auditBools = make([]bool, n)
-	}
-	s := m.auditBools[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
 }

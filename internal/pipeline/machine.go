@@ -3,7 +3,9 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -289,15 +291,19 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	return NewWithArena(prog, cfg, nil)
 }
 
-// NewWithArena is New drawing the machine's allocations — memory page
-// table and private pages, register file and free list, checkpoints and
-// their RAS snapshots, window backing array and SoA scheduler state,
-// completion ring, predecode table, CTX slots and allocator, live-path
-// list, BTB, object pools, and a predictor and estimator of the same
-// kind and parameters — from a (see arena.go).
-// A nil arena behaves exactly like New. The caller donates the buffers
-// back with Machine.Recycle once the simulation is finished; results are
-// bit-identical with or without an arena.
+// NewWithArena is New reusing the buffers and tables of the finished
+// machine a holds (see arena.go): the memory's page table and private
+// pages, the register file, ready bits and free list, the checkpoints and
+// their RAS snapshots, the window and SoA scheduler arrays, the
+// completion ring, the predecode table, the CTX slots and their return
+// stacks, the history-position allocator, the live-path list, the BTB,
+// the object pools and the auditor's scratch, and the predictor and
+// estimator when the normalized kind and parameters match. A predictor
+// that keeps its program's Env (bpred.Entry.KeepsEnv) is never reused.
+// Every reused buffer is reset to what a fresh build holds, so results
+// are bit-identical with or without an arena, and a nil arena behaves
+// exactly like New. The caller hands the machine back with
+// Machine.Recycle once the simulation is finished.
 func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -305,9 +311,6 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
-	}
-	if a == nil {
-		a = &Arena{}
 	}
 	// The reference (functional) run bounds the simulation. Without an
 	// explicit MaxInsts it is capped at DefaultRefCap; longer programs must
@@ -324,40 +327,12 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		return nil, fmt.Errorf("pipeline: program does not halt within %d instructions; set MaxInsts to run it longer", uint64(DefaultRefCap))
 	}
 
-	m := &Machine{
-		cfg:       cfg,
-		prog:      prog,
-		mem:       a.takeMemory(prog),
-		retireMap: rename.NewIdentityMap(),
-		physVal:   takeI64(&a.physVal, cfg.PhysRegs+1),
-		physReady: rename.ReuseReadySet(a.ready, cfg.PhysRegs+1),
-		unreadReg: rename.PhysReg(cfg.PhysRegs),
-		freeList:  a.takeFreeList(cfg.PhysRegs, isa.NumRegs),
-		ckpts:     a.takeCheckpoints(cfg.Checkpoints),
-		trace:     trace,
-		interp:    ref,
-		refCount:  ref.InstCount,
-		ctxAlloc:  a.takeCtxAlloc(cfg.CtxHistoryWidth),
-		frontEnd:  a.takeFrontEnd(cfg.FrontEndStages),
+	// old is the arena's finished machine, or a zero Machine whose nil
+	// buffers make every reuse below allocate.
+	var old Machine
+	if a != nil {
+		old, a.m = a.m, Machine{}
 	}
-	a.ready = rename.ReadySet{}
-	for _, in := range prog.Code {
-		if in.Op == isa.Call || in.Op == isa.Ret {
-			m.hasCallRet = true
-			break
-		}
-	}
-	m.slots = a.takeSlots(cfg.MaxPaths)
-	m.live = a.takeLive(cfg.MaxPaths)
-	if m.hasCallRet {
-		for i := range m.slots {
-			if r := m.slots[i].path.ras; r == nil || r.Depth() != cfg.RASDepth {
-				m.slots[i].path.ras = bpred.NewRAS(cfg.RASDepth)
-			}
-		}
-	}
-	m.entryPool, m.latchPool, m.fpsScratch = a.takePools()
-	m.auditInts, m.auditBools = a.takeAudit()
 	// The completion ring must cover the longest possible operation
 	// latency (integer multiply, plus the D-cache miss penalty when the
 	// cache model is enabled). It is a power of two long so that schedule
@@ -366,13 +341,92 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	if cfg.EnableDCache {
 		maxLat += cfg.DCacheMissLatency + 2
 	}
-	m.ring = a.takeRing(1 << bits.Len(uint(maxLat+1)))
-	m.ringMask = uint64(len(m.ring) - 1)
-	// The window is bounded by WindowSize; a 2x backing array makes the
-	// head-popping commit path O(1) with amortized-free compaction.
-	m.winBuf = a.takeEntries(2 * cfg.WindowSize)
+	ringLen := 1 << bits.Len(uint(maxLat+1))
+	m := &Machine{
+		cfg:       cfg,
+		prog:      prog,
+		mem:       old.mem,
+		retireMap: rename.NewIdentityMap(),
+		physVal:   resize(old.physVal, cfg.PhysRegs+1),
+		physReady: rename.ReuseReadySet(old.physReady, cfg.PhysRegs+1),
+		unreadReg: rename.PhysReg(cfg.PhysRegs),
+		freeList:  old.freeList,
+		ckpts:     old.ckpts,
+		// A kept snapshot's contents are stale: rename overwrites a
+		// snapshot before a recovery reads it.
+		ckptRAS:  slices.Grow(old.ckptRAS[:0], cfg.Checkpoints)[:cfg.Checkpoints],
+		trace:    trace,
+		interp:   ref,
+		refCount: ref.InstCount,
+		ctxAlloc: old.ctxAlloc,
+		// The slots keep their return-address stacks and register maps;
+		// creating a path resets the one and copies into the other.
+		slots:    slices.Grow(old.slots[:0], cfg.MaxPaths)[:cfg.MaxPaths],
+		live:     resize(old.live, cfg.MaxPaths)[:0],
+		frontEnd: resize(old.frontEnd, cfg.FrontEndStages),
+		// The window is bounded by WindowSize; a 2x backing array makes the
+		// head-popping commit path O(1) with amortized-free compaction.
+		winBuf: resize(old.winBuf, 2*cfg.WindowSize),
+		// The ring's inner slices keep their capacity, so the ring is
+		// allocation-free again after the first few cycles.
+		ring:     slices.Grow(old.ring[:0], ringLen)[:ringLen],
+		ringMask: uint64(ringLen - 1),
+		soa:      old.soa,
+		deco:     resize(old.deco, len(prog.Code)),
+		// Fetch resets a pooled entry's flags and overwrites its other
+		// fields before use, except for its RAS snapshot buffer, whose
+		// depth snapshotRAS checks. Pooled latches are shape-independent.
+		entryPool:  old.entryPool,
+		latchPool:  old.latchPool,
+		fpsScratch: old.fpsScratch[:0],
+		auditInts:  old.auditInts,
+		auditBools: old.auditBools,
+	}
+	if m.mem == nil {
+		m.mem = new(isa.Memory)
+	}
+	m.mem.Reset(prog)
+	if m.freeList == nil {
+		m.freeList = new(rename.FreeList)
+	}
+	m.freeList.Reset(cfg.PhysRegs, isa.NumRegs)
+	if m.ckpts == nil {
+		m.ckpts = new(rename.Checkpoints)
+	}
+	m.ckpts.Reset(cfg.Checkpoints)
+	if m.ctxAlloc != nil && m.ctxAlloc.Width() == cfg.CtxHistoryWidth {
+		m.ctxAlloc.Reset()
+	} else {
+		m.ctxAlloc = ctxtag.NewAllocator(cfg.CtxHistoryWidth)
+	}
+	for _, in := range prog.Code {
+		if in.Op == isa.Call || in.Op == isa.Ret {
+			m.hasCallRet = true
+			break
+		}
+	}
+	// Checkpoint RAS snapshots are preallocated per slot and overwritten in
+	// place (CopyFrom) when a branch renames, so the per-branch snapshot
+	// never allocates in steady state. Without calls and returns neither
+	// they nor the slots' stacks are used, and they keep whatever stacks
+	// they hold for a later machine.
+	fitRAS := func(r *bpred.RAS) *bpred.RAS {
+		if m.hasCallRet && (r == nil || r.Depth() != cfg.RASDepth) {
+			return bpred.NewRAS(cfg.RASDepth)
+		}
+		return r
+	}
+	for i := range m.slots {
+		m.slots[i].path = path{ras: fitRAS(m.slots[i].path.ras)}
+	}
+	for i, r := range m.ckptRAS {
+		m.ckptRAS[i] = fitRAS(r)
+	}
+	for i := range m.ring {
+		m.ring[i] = m.ring[i][:0]
+	}
 	m.window = m.winBuf[:0]
-	m.soaInit(len(m.winBuf), a)
+	m.soaInit(len(m.winBuf))
 	// Logical registers start architecturally zero and ready, and so does
 	// the sentinel.
 	for i := 0; i < isa.NumRegs; i++ {
@@ -386,9 +440,11 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 	// here with no pipeline edits. The oracle kind is the one
 	// pipeline-special case — its registry factory supplies a null pattern
 	// table and the machine predicts from the reference trace instead.
-	// An arena's predictor and estimator serve a config of the same
-	// normalized kind and parameters, reset.
-	if m.pred = a.takePredictor(cfg.Predictor); m.pred == nil {
+	if e, _ := bpred.Lookup(string(cfg.Predictor.Kind)); old.pred != nil && !e.KeepsEnv &&
+		old.cfg.Predictor.Kind == cfg.Predictor.Kind && maps.Equal(old.cfg.Predictor.Params, cfg.Predictor.Params) {
+		m.pred = old.pred
+		m.pred.Reset()
+	} else {
 		m.pred, err = bpred.Build(string(cfg.Predictor.Kind), bpred.Params(cfg.Predictor.Params), bpred.Env{
 			TargetOf: func(pc int) int { return int(prog.Code[pc].Target) },
 		})
@@ -397,23 +453,24 @@ func NewWithArena(prog *isa.Program, cfg Config, a *Arena) (*Machine, error) {
 		}
 	}
 	m.oracle = cfg.Predictor.Kind == PredOracle
-	if m.conf = a.takeEstimator(cfg.Confidence); m.conf == nil {
-		if m.conf, err = confidence.Build(cfg.Confidence); err != nil {
-			return nil, err
-		}
+	if old.conf != nil && old.cfg.Confidence.Equal(cfg.Confidence) {
+		m.conf = old.conf
+		m.conf.Reset()
+	} else if m.conf, err = confidence.Build(cfg.Confidence); err != nil {
+		return nil, err
 	}
 	if err := m.buildPolicy(); err != nil {
 		return nil, err
 	}
-	m.btb = a.takeBTB(cfg.BTBBits)
-	// Checkpoint RAS snapshots are preallocated per slot and overwritten in
-	// place (CopyFrom) when a branch renames, so the per-branch snapshot
-	// never allocates in steady state.
-	m.ckptRAS = a.takeCkptRAS(cfg.Checkpoints, cfg.RASDepth, m.hasCallRet)
+	if old.btb != nil && old.cfg.BTBBits == cfg.BTBBits {
+		m.btb = old.btb
+		m.btb.Reset()
+	} else {
+		m.btb = bpred.NewBTB(cfg.BTBBits)
+	}
 
 	// Predecode the program once; the fetch/rename/issue stages index this
 	// table instead of re-deriving classification from the opcode.
-	m.deco = a.takeDeco(len(prog.Code))
 	for pc, in := range prog.Code {
 		d := &m.deco[pc]
 		op := in.Op

@@ -51,17 +51,16 @@ type soaOp struct {
 	class      uint8
 }
 
-// soaInit sizes the scheduler arrays for a winBuf of n slots, drawing
-// backing storage from the arena when possible.
-func (m *Machine) soaInit(n int, a *Arena) {
+// soaInit sizes the scheduler arrays for a winBuf of n slots, every bit
+// clear, reusing their backing arrays when large enough.
+func (m *Machine) soaInit(n int) {
 	words := (n + 63) / 64
 	s := &m.soa
-	*s = a.takeSoA()
-	s.waitW = takeWords(s.waitW, words)
-	s.readyW = takeWords(s.readyW, words)
-	s.staW = takeWords(s.staW, words)
-	s.storeW = takeWords(s.storeW, words)
-	s.ops = takeOps(s.ops, n)
+	s.waitW = resize(s.waitW, words)
+	s.readyW = resize(s.readyW, words)
+	s.staW = resize(s.staW, words)
+	s.storeW = resize(s.storeW, words)
+	s.ops = resize(s.ops, n)
 }
 
 // soaOperandsReady reports whether every source operand of the entry at
